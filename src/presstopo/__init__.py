@@ -49,9 +49,7 @@ from .fields import (
     DesignField,
     FilterOperator,
     MaterialSet,
-    apply_filter,
     build_filter,
-    chain_filter,
     interpolate_modulus,
     material_phase_densities,
     modulus_derivatives,

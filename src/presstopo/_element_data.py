@@ -1,9 +1,10 @@
-"""Cached per-mesh element integrals.
+"""Element integrals of the honeycomb's one template hexagon.
 
-Elements of a honeycomb are congruent translates, so shape-function values,
-gradients, and the resulting template matrices are computed once per distinct
-element shape and reused.  Shapes are grouped by their vertex offsets relative
-to the element centroid.
+``generate_mesh`` builds every element as a translate of one template
+hexagon, so the quadrature, the Wachspress values and gradients, and the
+element matrices are computed once from element 0's own vertices and shared
+by every element.  ``tests/test_honeymesh.py::TestCongruence`` guards that
+assumption: each element's vertex offsets from its centroid equal element 0's.
 """
 
 from __future__ import annotations
@@ -13,89 +14,51 @@ import numpy as np
 from .honeymesh import _wachspress, hex_quadrature
 
 
-class ShapeGroup:
-    """Quadrature data for one congruence class of elements."""
+def element_quadrature(vertices):
+    """Fan-quadrature weights (nq,), Wachspress values (nq, 6), gradients (nq, 6, 2)."""
+    rule = hex_quadrature(vertices)
+    shape, grads = _wachspress(vertices, rule.points, with_gradients=True)
+    return rule.weights, shape, grads
 
-    def __init__(self, element_ids, vertices):
-        self.element_ids = element_ids
-        rule = hex_quadrature(vertices)
-        n, g = _wachspress(vertices, rule.points, with_gradients=True)
-        self.weights = rule.weights      # (nq,)
-        self.shape = n                   # (nq, 6)
-        self.grads = g                   # (nq, 6, 2)
-        self.area = float(rule.weights.sum())
 
-    def diffusion_template(self):
-        """(6, 6) matrix of integral grad N_a . grad N_b dOmega."""
-        return np.einsum("q,qad,qbd->ab", self.weights, self.grads, self.grads)
+def stiffness_kernel(weights, grads, nu, thickness):
+    """(12, 12) plane-stress t * integral B^T C B for unit Young's modulus."""
+    c = np.array(
+        [[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, 0.5 * (1.0 - nu)]]
+    ) / (1.0 - nu * nu)
+    b = np.zeros((weights.size, 3, 12))
+    b[:, 0, 0::2] = grads[:, :, 0]
+    b[:, 1, 1::2] = grads[:, :, 1]
+    b[:, 2, 0::2] = grads[:, :, 1]
+    b[:, 2, 1::2] = grads[:, :, 0]
+    return thickness * np.einsum("q,qci,cd,qdj->ij", weights, b, c, b)
 
-    def mass_template(self):
-        """(6, 6) matrix of integral N_a N_b dOmega."""
-        return np.einsum("q,qa,qb->ab", self.weights, self.shape, self.shape)
 
-    def load_template(self, thickness):
+class MeshIntegrals:
+    """Template element matrices and the element DOF maps of one mesh."""
+
+    def __init__(self, mesh):
+        self.weights, self.shape, self.grads = element_quadrature(
+            mesh.element_vertices(0))
+        # (6, 6) integral grad N_a . grad N_b and integral N_a N_b
+        self.diffusion = np.einsum("q,qad,qbd->ab", self.weights, self.grads,
+                                   self.grads)
+        self.mass = np.einsum("q,qa,qb->ab", self.weights, self.shape,
+                              self.shape)
+        self.conn = mesh.elements
+        # interleaved displacement DOFs per element, (n_elements, 12)
+        self.udofs = np.empty((mesh.n_elements, 12), dtype=self.conn.dtype)
+        self.udofs[:, 0::2] = 2 * self.conn
+        self.udofs[:, 1::2] = 2 * self.conn + 1
+
+    def load(self, thickness):
         """(12, 6) matrix T_e with T_e[2a+d, b] = t * integral N_a dN_b/dx_d."""
         m = np.einsum("q,qa,qbd->adb", self.weights, self.shape, self.grads)
         return thickness * m.reshape(12, 6)
 
-    def stiffness_template(self, nu, thickness):
+    def stiffness(self, nu, thickness):
         """(12, 12) plane-stress stiffness for unit Young's modulus."""
-        c = np.array(
-            [[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, 0.5 * (1.0 - nu)]]
-        ) / (1.0 - nu * nu)
-        nq = self.weights.size
-        b = np.zeros((nq, 3, 12))
-        gx = self.grads[:, :, 0]
-        gy = self.grads[:, :, 1]
-        b[:, 0, 0::2] = gx
-        b[:, 1, 1::2] = gy
-        b[:, 2, 0::2] = gy
-        b[:, 2, 1::2] = gx
-        return thickness * np.einsum("q,qci,cd,qdj->ij", self.weights, b, c, b)
-
-
-class MeshIntegrals:
-    """Shape groups plus per-element lookup arrays for a given mesh."""
-
-    def __init__(self, mesh):
-        centroids = mesh.element_centroids()
-        scale = max(mesh.element_width, mesh.element_height)
-        rel = mesh.nodes[mesh.elements] - centroids[:, None, :]
-        signatures = np.round(rel / scale, 9).reshape(mesh.n_elements, 12)
-        _, first, group_of = np.unique(
-            signatures, axis=0, return_index=True, return_inverse=True
-        )
-        self.group_of = group_of
-        self.groups = [
-            ShapeGroup(np.flatnonzero(group_of == gid), mesh.element_vertices(e0))
-            for gid, e0 in enumerate(first)
-        ]
-        self.areas = np.empty(mesh.n_elements)
-        for gid, grp in enumerate(self.groups):
-            self.areas[group_of == gid] = grp.area
-        self._templates = {}
-
-    def templates(self, kind, *args):
-        """Per-group template matrices stacked into one array, cached."""
-        key = (kind,) + args
-        if key not in self._templates:
-            built = [getattr(g, kind + "_template")(*args) for g in self.groups]
-            self._templates[key] = np.stack(built)
-        return self._templates[key]
-
-    def element_matrices(self, kind, scale_per_element, *args):
-        """(n_elements, ...) matrices: per-element scale times group template."""
-        t = self.templates(kind, *args)[self.group_of]
-        return t * np.asarray(scale_per_element)[:, None, None]
-
-    def quadratic_form(self, kind, left, right, *args):
-        """Per-element value left_e^T M_template right_e, (n_elements,)."""
-        t = self.templates(kind, *args)
-        out = np.empty(self.group_of.size)
-        for gid in range(len(self.groups)):
-            sel = self.group_of == gid
-            out[sel] = np.einsum("ei,ij,ej->e", left[sel], t[gid], right[sel])
-        return out
+        return stiffness_kernel(self.weights, self.grads, nu, thickness)
 
 
 def mesh_integrals(mesh) -> MeshIntegrals:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._element_data import mesh_integrals
-from .darcy import _displacement_dofs, drainage_coefficient, flow_coefficient
+from .darcy import drainage_coefficient, flow_coefficient
 from .errors import ConsistencyError
 from .fields import modulus_derivatives
 
@@ -51,25 +51,23 @@ def compliance_sensitivity(mesh, design, materials, flow_params,
         raise ConsistencyError("pressure state has no solved field")
 
     data = mesh_integrals(mesh)
-    conn = mesh.elements
-    udofs = _displacement_dofs(conn)
-    u_e = elastic_state.u[udofs]
-    p_e = pressure_state.p[conn]
+    u_e = elastic_state.u[data.udofs]
+    p_e = pressure_state.p[data.conn]
 
     # -u^T dK u: element strain energies against unit-modulus stiffness
-    uku = data.quadratic_form("stiffness", u_e, u_e,
-                              materials.nu, materials.thickness)
+    k0 = data.stiffness(materials.nu, materials.thickness)
+    uku = np.einsum("ei,ij,ej->e", u_e, k0, u_e)
     de = modulus_derivatives(design.filtered, materials)
     d_filtered = -de * uku[:, None]
 
     if include_load_term:
         lam2 = pressure_state.adjoint_solve(2.0 * (pressure_state.T.T @ elastic_state.u))
-        lam_e = lam2[conn]
+        lam_e = lam2[data.conn]
         rho1 = design.filtered[:, 0]
         _, dk = flow_coefficient(rho1, flow_params)
         _, dd = drainage_coefficient(rho1, flow_params)
-        lap = data.quadratic_form("diffusion", lam_e, p_e)
-        lmp = data.quadratic_form("mass", lam_e, p_e)
+        lap = np.einsum("ei,ij,ej->e", lam_e, data.diffusion, p_e)
+        lmp = np.einsum("ei,ij,ej->e", lam_e, data.mass, p_e)
         d_filtered[:, 0] += dk * lap + dd * lmp
 
     d_raw = np.column_stack(

@@ -42,8 +42,6 @@ class FlowParams:
     eta_d: float = 0.2
     beta_d: float = 10.0
     d_solid: float = 0.0
-    p_in: float = 1e5
-    p_out: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -158,12 +156,9 @@ def assemble_flow(mesh, design, params: FlowParams) -> PressureState:
     rho1 = design.filtered[:, 0]
     k, _ = flow_coefficient(rho1, params)
     d, _ = drainage_coefficient(rho1, params)
+    a_data = k[:, None, None] * data.diffusion + d[:, None, None] * data.mass
 
-    diff = data.templates("diffusion")[data.group_of]
-    mass = data.templates("mass")[data.group_of]
-    a_data = k[:, None, None] * diff + d[:, None, None] * mass
-
-    conn = mesh.elements
+    conn, udofs = data.conn, data.udofs
     n = mesh.n_nodes
     rows = np.broadcast_to(conn[:, :, None], a_data.shape)
     cols = np.broadcast_to(conn[:, None, :], a_data.shape)
@@ -171,8 +166,7 @@ def assemble_flow(mesh, design, params: FlowParams) -> PressureState:
         (a_data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
     ).tocsr()
 
-    t_data = data.templates("load", design.thickness)[data.group_of]
-    udofs = _displacement_dofs(conn)
+    t_data = np.broadcast_to(data.load(design.thickness), udofs.shape + (6,))
     t_rows = np.broadcast_to(udofs[:, :, None], t_data.shape)
     t_cols = np.broadcast_to(conn[:, None, :], t_data.shape)
     t = sp.coo_matrix(
@@ -181,46 +175,34 @@ def assemble_flow(mesh, design, params: FlowParams) -> PressureState:
     return PressureState(A=a, T=t, design_fingerprint=design.fingerprint())
 
 
-def _displacement_dofs(conn):
-    """Interleaved displacement DOF indices per element, (n_elements, 12)."""
-    dofs = np.empty((conn.shape[0], 12), dtype=conn.dtype)
-    dofs[:, 0::2] = 2 * conn
-    dofs[:, 1::2] = 2 * conn + 1
-    return dofs
-
-
-def solve_pressure(state: PressureState, mesh, params: FlowParams, pressure_bc):
+def solve_pressure(state: PressureState, mesh, pressure_bc):
     """Impose Dirichlet pressures on named boundary edges and solve A p = 0.
 
     ``pressure_bc`` maps edge names ('top', 'bottom', 'left', 'right') to
     pressure values in Pa.  Returns the nodal pressure vector and caches the
     factorization on the state for adjoint reuse.
     """
-    values = {}
-    for edge, value in pressure_bc.items():
+    node_sets = []
+    for edge in pressure_bc:
         if edge not in mesh.boundary_node_sets:
             raise InvalidArgumentError(f"unknown boundary edge {edge!r}")
-        for node in mesh.boundary_node_sets[edge]:
-            node = int(node)
-            if node in values and values[node] != float(value):
-                raise InvalidArgumentError(
-                    f"conflicting pressure values at node {node}"
-                )
-            values[node] = float(value)
-    if not values:
+        node_sets.append(mesh.boundary_node_sets[edge])
+    if not node_sets:
         raise IllPosedError("no Dirichlet pressure nodes; pressure field is "
                             "determined only up to a constant")
 
     n = state.A.shape[0]
-    dirichlet = np.fromiter(values.keys(), dtype=np.int64)
-    dvals = np.fromiter(values.values(), dtype=float)
+    # the four boundary node sets of a honeycomb are pairwise disjoint
+    dirichlet = np.concatenate(node_sets)
+    dvals = np.repeat(np.array(list(pressure_bc.values()), dtype=float),
+                      [nodes.size for nodes in node_sets])
     order = np.argsort(dirichlet)
     dirichlet, dvals = dirichlet[order], dvals[order]
     free = np.setdiff1d(np.arange(n), dirichlet, assume_unique=True)
 
-    a_fd = state.A[free][:, dirichlet]
-    a_ff = state.A[free][:, free].tocsc()
-    rhs = -a_fd @ dvals
+    a_f = state.A[free]
+    a_ff = a_f[:, free].tocsc()
+    rhs = -a_f[:, dirichlet] @ dvals
     try:
         lu = spla.splu(a_ff, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:

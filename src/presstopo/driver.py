@@ -90,8 +90,6 @@ def build_problem(config):
         eta_d=config.drain_eta,
         beta_d=config.drain_beta,
         d_solid=0.0,
-        p_in=max(config.pressure_bc.values()),
-        p_out=min(config.pressure_bc.values()),
     )
     d_solid = config.drainage_solid
     if d_solid is None:
@@ -168,7 +166,7 @@ def make_design(raw, filt, mesh, materials):
 def analyze(design, mesh, materials, flow, fixed_dofs, pressure_bc):
     """Solve the coupled flow/elasticity problem for one design."""
     pstate = darcy.assemble_flow(mesh, design, flow)
-    darcy.solve_pressure(pstate, mesh, flow, pressure_bc)
+    darcy.solve_pressure(pstate, mesh, pressure_bc)
     force = darcy.pressure_loads(pstate)
     stiffness = elasticity.assemble_stiffness(mesh, design, materials)
     u, compliance = elasticity.solve_displacements(stiffness, force, fixed_dofs)

@@ -8,11 +8,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._element_data import mesh_integrals
-from .darcy import _displacement_dofs
+from ._element_data import element_quadrature, mesh_integrals, stiffness_kernel
 from .errors import InvalidArgumentError, SingularSystemError, SolverError
 from .fields import interpolate_modulus
-from .honeymesh import _wachspress, hex_quadrature
 
 _RESIDUAL_TOL = 1e-9
 
@@ -40,27 +38,17 @@ def element_stiffness(element_vertices, e_modulus, nu, thickness):
         raise InvalidArgumentError("Young's modulus must be positive")
     if not 0.0 <= nu < 0.5:
         raise InvalidArgumentError(f"Poisson ratio out of range: {nu}")
-    rule = hex_quadrature(element_vertices)
-    _, grads = _wachspress(element_vertices, rule.points, with_gradients=True)
-    c = e_modulus / (1.0 - nu * nu) * np.array(
-        [[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, 0.5 * (1.0 - nu)]]
-    )
-    nq = rule.weights.size
-    b = np.zeros((nq, 3, 12))
-    b[:, 0, 0::2] = grads[:, :, 0]
-    b[:, 1, 1::2] = grads[:, :, 1]
-    b[:, 2, 0::2] = grads[:, :, 1]
-    b[:, 2, 1::2] = grads[:, :, 0]
-    return thickness * np.einsum("q,qci,cd,qdj->ij", rule.weights, b, c, b)
+    weights, _, grads = element_quadrature(element_vertices)
+    return e_modulus * stiffness_kernel(weights, grads, nu, thickness)
 
 
 def assemble_stiffness(mesh, design, materials):
     """Global stiffness with per-element modulus from the SIMP interpolation."""
     data = mesh_integrals(mesh)
     e_elem = interpolate_modulus(design.filtered, materials)
-    k_unit = data.templates("stiffness", materials.nu, materials.thickness)
-    k_data = k_unit[data.group_of] * e_elem[:, None, None]
-    udofs = _displacement_dofs(mesh.elements)
+    k_data = e_elem[:, None, None] * data.stiffness(materials.nu,
+                                                    materials.thickness)
+    udofs = data.udofs
     rows = np.broadcast_to(udofs[:, :, None], k_data.shape)
     cols = np.broadcast_to(udofs[:, None, :], k_data.shape)
     ndof = 2 * mesh.n_nodes
@@ -92,8 +80,9 @@ def solve_displacements(K, F, fixed_dofs, fixed_values=None):
             raise InvalidArgumentError("fixed_values length mismatch")
     free = np.setdiff1d(np.arange(ndof), fixed, assume_unique=True)
 
-    k_ff = K[free][:, free].tocsc()
-    rhs = F[free] - K[free][:, fixed] @ fvals
+    k_f = K[free]
+    k_ff = k_f[:, free].tocsc()
+    rhs = F[free] - k_f[:, fixed] @ fvals
     try:
         lu = spla.splu(k_ff, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -111,7 +100,7 @@ def solve_displacements(K, F, fixed_dofs, fixed_values=None):
         )
 
     fnorm = np.linalg.norm(F[free]) or np.linalg.norm(rhs) or 1.0
-    residual = np.linalg.norm(K[free][:, free] @ u[free] - rhs) / fnorm
+    residual = np.linalg.norm(k_ff @ u[free] - rhs) / fnorm
     if residual > _RESIDUAL_TOL:
         raise SolverError(
             f"displacement solve residual {residual:.3e} exceeds "

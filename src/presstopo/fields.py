@@ -175,16 +175,6 @@ def build_filter(mesh, r_fill) -> FilterOperator:
     return FilterOperator(h, r_fill)
 
 
-def apply_filter(filt: FilterOperator, raw):
-    """Filtered design column; see ``FilterOperator.apply``."""
-    return filt.apply(raw)
-
-
-def chain_filter(filt: FilterOperator, d_filtered):
-    """Chain a sensitivity w.r.t. filtered values back to raw variables."""
-    return filt.chain(d_filtered)
-
-
 @dataclass
 class DesignField:
     """Raw and filtered design variables plus element volumes.

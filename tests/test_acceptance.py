@@ -121,7 +121,7 @@ class TestCriterion3DarcyAnalytics:
         params = FlowParams(d_solid=0.5)
         design = make_uniform_design(mesh, [0.0, 0.5])
         state = assemble_flow(mesh, design, params)
-        solve_pressure(state, mesh, params, {"top": 1e5, "bottom": 0.0})
+        solve_pressure(state, mesh, {"top": 1e5, "bottom": 0.0})
         exact = 1e5 * mesh.nodes[:, 1] / mesh.Ly
         err = np.abs(state.p - exact).max() / 1e5
         assert err < 1e-9
@@ -135,7 +135,7 @@ class TestCriterion3DarcyAnalytics:
         params = FlowParams(d_solid=ds)
         design = make_uniform_design(mesh, [1.0, 0.5])
         state = assemble_flow(mesh, design, params)
-        solve_pressure(state, mesh, params, {"top": 1e5, "bottom": 0.0})
+        solve_pressure(state, mesh, {"top": 1e5, "bottom": 0.0})
         depth = 2.0 * mesh.element_height
         at_depth = np.isclose(mesh.nodes[:, 1], mesh.Ly - depth, atol=1e-12)
         ratio = state.p[at_depth].max() / 1e5

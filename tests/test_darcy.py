@@ -21,6 +21,9 @@ from presstopo import (
 
 from conftest import make_uniform_design
 
+P_IN = 1e5
+P_OUT = 0.0
+
 
 def strip_mesh(n=30, width=0.01, height=0.3):
     return generate_mesh(1, n, width, height)
@@ -29,8 +32,7 @@ def strip_mesh(n=30, width=0.01, height=0.3):
 def solve_strip(mesh, rho1, params, bc=None):
     design = make_uniform_design(mesh, [rho1, 0.5])
     state = assemble_flow(mesh, design, params)
-    solve_pressure(state, mesh, params,
-                   bc or {"top": params.p_in, "bottom": params.p_out})
+    solve_pressure(state, mesh, bc or {"top": P_IN, "bottom": P_OUT})
     return state
 
 
@@ -162,7 +164,7 @@ class TestAssembly:
         design = make_uniform_design(mesh, [0.6, 0.5])
         params = FlowParams(d_solid=0.01)
         state = assemble_flow(mesh, design, params)
-        solve_pressure(state, mesh, params, {"top": 1e5, "bottom": 0.0})
+        solve_pressure(state, mesh, {"top": 1e5, "bottom": 0.0})
         a_ff = state.A[state.free_nodes][:, state.free_nodes].toarray()
         np.linalg.cholesky(a_ff)  # raises if not SPD
 
@@ -173,8 +175,8 @@ class TestSolvePressure:
         params = FlowParams(d_solid=1.0)
         state = solve_strip(mesh, 0.0, params)
         y = mesh.nodes[:, 1]
-        exact = params.p_in * y / mesh.Ly
-        assert np.abs(state.p - exact).max() / params.p_in < 1e-9
+        exact = P_IN * y / mesh.Ly
+        assert np.abs(state.p - exact).max() / P_IN < 1e-9
 
     def test_solid_strip_exponential_decay(self):
         mesh = strip_mesh(n=40)
@@ -186,7 +188,7 @@ class TestSolvePressure:
         y = mesh.nodes[:, 1]
         at_depth = np.isclose(y, mesh.Ly - depth, atol=1e-12)
         assert at_depth.any()
-        ratio = state.p[at_depth].max() / params.p_in
+        ratio = state.p[at_depth].max() / P_IN
         assert ratio <= 0.12
         # exponential-decay oracle within discretization slack
         assert ratio == pytest.approx(0.1, abs=0.02)
@@ -206,9 +208,9 @@ class TestSolvePressure:
         for rho in (0.2, 0.5, 0.9):
             design = make_uniform_design(mesh, [rho, 0.5])
             state = assemble_flow(mesh, design, params)
-            solve_pressure(state, mesh, params, {"top": 1e5, "bottom": 0.0})
-            assert state.p.min() >= -1e-9 * params.p_in
-            assert state.p.max() <= params.p_in * (1 + 1e-9)
+            solve_pressure(state, mesh, {"top": 1e5, "bottom": 0.0})
+            assert state.p.min() >= -1e-9 * P_IN
+            assert state.p.max() <= P_IN * (1 + 1e-9)
 
     def test_pressure_drop_localizes_with_sharper_step(self):
         # nearly solid design: larger beta_k lowers the mid-depth pressure
@@ -228,7 +230,7 @@ class TestSolvePressure:
         params = FlowParams()
         state = assemble_flow(mesh, design, params)
         with pytest.raises(IllPosedError):
-            solve_pressure(state, mesh, params, {})
+            solve_pressure(state, mesh, {})
 
     def test_unknown_edge_raises(self):
         mesh = strip_mesh(n=5)
@@ -236,7 +238,7 @@ class TestSolvePressure:
         params = FlowParams()
         state = assemble_flow(mesh, design, params)
         with pytest.raises(InvalidArgumentError):
-            solve_pressure(state, mesh, params, {"north": 1e5})
+            solve_pressure(state, mesh, {"north": 1e5})
 
     def test_residual_criterion(self):
         mesh = strip_mesh(n=10)

@@ -4,9 +4,7 @@ import pytest
 from presstopo import (
     InvalidArgumentError,
     MaterialSet,
-    apply_filter,
     build_filter,
-    chain_filter,
     generate_mesh,
     interpolate_modulus,
     material_phase_densities,
@@ -105,17 +103,13 @@ class TestFilter:
 
     def test_chain_preserves_total_sensitivity(self, filt, mesh):
         s = np.full(mesh.n_elements, 0.123)
-        assert chain_filter(filt, s).sum() == pytest.approx(s.sum(), rel=1e-12)
+        assert filt.chain(s).sum() == pytest.approx(s.sum(), rel=1e-12)
 
     def test_chain_matches_dense_transpose(self, filt, mesh):
         h_dense = brute_force_filter(mesh, filt.r_fill)
         rng = np.random.default_rng(4)
         s = rng.normal(size=mesh.n_elements)
         assert np.abs(filt.chain(s) - h_dense.T @ s).max() < 1e-13
-
-    def test_module_level_aliases(self, filt, mesh):
-        x = np.random.default_rng(5).uniform(size=mesh.n_elements)
-        assert np.array_equal(apply_filter(filt, x), filt.apply(x))
 
 
 class TestMaterialSet:

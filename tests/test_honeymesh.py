@@ -6,8 +6,10 @@ from presstopo import (
     InvalidArgumentError,
     MeshError,
     PointOutsideElementError,
+    builtin_config_names,
     generate_mesh,
     hex_quadrature,
+    load_config,
     wachspress_gradients,
     wachspress_shape,
 )
@@ -104,6 +106,14 @@ class TestGenerateMesh:
         with pytest.raises(InvalidArgumentError):
             generate_mesh(*args)
 
+    @pytest.mark.parametrize("nex", range(1, 9))
+    @pytest.mark.parametrize("ney", range(1, 6))
+    def test_boundary_node_sets_pairwise_disjoint(self, nex, ney):
+        sets = list(generate_mesh(nex, ney, 1.0, 0.6).boundary_node_sets.values())
+        for i, a in enumerate(sets):
+            for b in sets[i + 1:]:
+                assert np.intersect1d(a, b).size == 0
+
     def test_mirror_pairs_odd_columns(self):
         mesh = generate_mesh(5, 3, 1.0, 0.6)
         perm = mesh.mirror_element_pairs()
@@ -116,6 +126,25 @@ class TestGenerateMesh:
         mesh = generate_mesh(4, 3, 1.0, 0.6)
         with pytest.raises(MeshError):
             mesh.mirror_element_pairs()
+
+
+def _congruence_meshes():
+    meshes = {(2, 2, 0.2, 0.1), (5, 4, 0.2, 0.1), (12, 8, 0.2, 0.1),
+              (61, 30, 0.2, 0.1), (7, 3, 1e-3, 5.0)}
+    for name in builtin_config_names():
+        cfg = load_config(name)
+        meshes.add((cfg.nex, cfg.ney, cfg.lx, cfg.ly))
+    return sorted(meshes)
+
+
+class TestCongruence:
+    """Every element is a translate of element 0, whose integrals all share."""
+
+    @pytest.mark.parametrize("nex,ney,lx,ly", _congruence_meshes())
+    def test_vertex_offsets_match_element_zero(self, nex, ney, lx, ly):
+        mesh = generate_mesh(nex, ney, lx, ly)
+        rel = mesh.nodes[mesh.elements] - mesh.element_centroids()[:, None, :]
+        assert np.abs(rel - rel[0]).max() <= 1e-9 * mesh.element_width
 
 
 class TestWachspress:
