@@ -7,12 +7,7 @@ the optimization is driven by the Method of Moving Asymptotes with adjoint
 sensitivities that include the load term.
 """
 
-from .adjoint import (
-    SensitivityBundle,
-    compliance_sensitivity,
-    constraint_sensitivities,
-    sensitivity_bundle,
-)
+from .adjoint import compliance_sensitivity, constraint_sensitivities
 from .config import ProblemConfig, SupportSpec, builtin_config_names, load_config
 from .darcy import (
     FlowParams,
@@ -34,7 +29,6 @@ from .elasticity import (
 )
 from .errors import (
     ConfigError,
-    ConsistencyError,
     GeometryError,
     IllPosedError,
     InvalidArgumentError,
@@ -67,5 +61,3 @@ from .mma import MmaState, mma_update
 from .outputs import write_outputs
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -50,6 +50,7 @@ class MeshIntegrals:
         self.udofs = np.empty((mesh.n_elements, 12), dtype=self.conn.dtype)
         self.udofs[:, 0::2] = 2 * self.conn
         self.udofs[:, 1::2] = 2 * self.conn + 1
+        self._stiffness = {}
 
     def load(self, thickness):
         """(12, 6) matrix T_e with T_e[2a+d, b] = t * integral N_a dN_b/dx_d."""
@@ -57,8 +58,13 @@ class MeshIntegrals:
         return thickness * m.reshape(12, 6)
 
     def stiffness(self, nu, thickness):
-        """(12, 12) plane-stress stiffness for unit Young's modulus."""
-        return stiffness_kernel(self.weights, self.grads, nu, thickness)
+        """(12, 12) unit-modulus plane-stress stiffness, built once, read-only."""
+        k0 = self._stiffness.get((nu, thickness))
+        if k0 is None:
+            k0 = stiffness_kernel(self.weights, self.grads, nu, thickness)
+            k0.flags.writeable = False
+            self._stiffness[nu, thickness] = k0
+        return k0
 
 
 def mesh_integrals(mesh) -> MeshIntegrals:

@@ -11,48 +11,35 @@ filtered variable,
 and raw-variable sensitivities follow by the filter transpose.  The second
 term is the load sensitivity: dropping it measurably changes the gradient on
 pressure-loaded problems.
+
+``compliance_sensitivity(mesh, materials, flow_params, state, filt)`` takes
+the ``ElasticState`` of one analysis, which carries its design and its
+pressure state, so the gradient is always taken at the design that was
+solved.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._element_data import mesh_integrals
 from .darcy import drainage_coefficient, flow_coefficient
-from .errors import ConsistencyError
 from .fields import modulus_derivatives
 
 
-@dataclass(frozen=True)
-class SensitivityBundle:
-    """Gradients of the objective and constraints w.r.t. raw variables."""
-
-    d_compliance: np.ndarray  # (n_elements, m)
-    d_constraints: list       # m arrays of shape (n_elements, m)
-
-
-def compliance_sensitivity(mesh, design, materials, flow_params,
-                           pressure_state, elastic_state, filt,
+def compliance_sensitivity(mesh, materials, flow_params, state, filt,
                            include_load_term=True):
     """Gradient of compliance w.r.t. all raw design variables, (n_elements, m).
 
-    Requires the pressure and elastic states solved for exactly this design
-    (checked via the design fingerprint).  ``include_load_term=False`` drops
+    ``state`` is the ``ElasticState`` returned by ``driver.analyze``; the
+    design, the displacements, the pressure field and the pressure
+    factorization are all read from it.  ``include_load_term=False`` drops
     the flow-adjoint contribution, for diagnostics only.
     """
-    fp = design.fingerprint()
-    if pressure_state.design_fingerprint != fp:
-        raise ConsistencyError("pressure state is stale for this design")
-    if elastic_state.design_fingerprint and elastic_state.design_fingerprint != fp:
-        raise ConsistencyError("elastic state is stale for this design")
-    if pressure_state.p is None:
-        raise ConsistencyError("pressure state has no solved field")
-
+    design, pressure = state.design, state.pressure
     data = mesh_integrals(mesh)
-    u_e = elastic_state.u[data.udofs]
-    p_e = pressure_state.p[data.conn]
+    u_e = state.u[data.udofs]
+    p_e = pressure.p[data.conn]
 
     # -u^T dK u: element strain energies against unit-modulus stiffness
     k0 = data.stiffness(materials.nu, materials.thickness)
@@ -61,7 +48,7 @@ def compliance_sensitivity(mesh, design, materials, flow_params,
     d_filtered = -de * uku[:, None]
 
     if include_load_term:
-        lam2 = pressure_state.adjoint_solve(2.0 * (pressure_state.T.T @ elastic_state.u))
+        lam2 = pressure.adjoint_solve(2.0 * (pressure.T.T @ state.u))
         lam_e = lam2[data.conn]
         rho1 = design.filtered[:, 0]
         _, dk = flow_coefficient(rho1, flow_params)
@@ -70,21 +57,7 @@ def compliance_sensitivity(mesh, design, materials, flow_params,
         lmp = np.einsum("ei,ij,ej->e", lam_e, data.mass, p_e)
         d_filtered[:, 0] += dk * lap + dd * lmp
 
-    d_raw = np.column_stack(
-        [filt.chain(d_filtered[:, j]) for j in range(d_filtered.shape[1])]
-    )
-    return d_raw
-
-
-def sensitivity_bundle(mesh, design, materials, flow_params, pressure_state,
-                       elastic_state, filt) -> SensitivityBundle:
-    """Objective and constraint gradients for one converged design."""
-    return SensitivityBundle(
-        d_compliance=compliance_sensitivity(
-            mesh, design, materials, flow_params, pressure_state,
-            elastic_state, filt),
-        d_constraints=constraint_sensitivities(design, filt),
-    )
+    return filt.chain(d_filtered)
 
 
 def constraint_sensitivities(design, filt):

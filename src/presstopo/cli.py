@@ -129,16 +129,13 @@ def _cmd_gradient_check(args):
 
     def compliance_of(raw_vars):
         design = driver.make_design(raw_vars, filt, mesh, materials)
-        _, estate = driver.analyze(design, mesh, materials, flow, fixed_dofs,
-                                   cfg.pressure_bc)
-        return estate.compliance
+        return driver.analyze(design, mesh, materials, flow, fixed_dofs,
+                              cfg.pressure_bc).compliance
 
     design = driver.make_design(raw, filt, mesh, materials)
-    pstate, estate = driver.analyze(design, mesh, materials, flow, fixed_dofs,
-                                    cfg.pressure_bc)
-    grad = adjoint.compliance_sensitivity(
-        mesh, design, materials, flow, pstate, estate, filt
-    )
+    estate = driver.analyze(design, mesh, materials, flow, fixed_dofs,
+                            cfg.pressure_bc)
+    grad = adjoint.compliance_sensitivity(mesh, materials, flow, estate, filt)
     h = args.step
     fd = np.zeros_like(grad)
     for j in range(grad.shape[1]):

@@ -158,7 +158,8 @@ def load_config(path) -> ProblemConfig:
     """Parse and validate a configuration file.
 
     ``path`` may also name a shipped benchmark ('arch-2mat', 'piston-2mat',
-    'arch-3mat', 'piston-3mat').
+    'arch-3mat', 'piston-3mat').  Options it does not read are rejected, so
+    a misspelt option is an error, not a silent default.
     """
     path = Path(path)
     if not path.exists():
@@ -174,7 +175,10 @@ def load_config(path) -> ProblemConfig:
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
+    read = set()
+
     def get(section, option, cast, default=None):
+        read.add((section, option))
         if not parser.has_option(section, option):
             return default
         raw = parser.get(section, option).strip()
@@ -250,6 +254,11 @@ def load_config(path) -> ProblemConfig:
         initial_design=get("output", "initial_design", str, None),
         name=path.stem,
     )
+    unknown = [f"[{section}] {option}" for section in parser.sections()
+               for option in parser.options(section)
+               if (section, option) not in read]
+    if unknown:
+        raise ConfigError(f"unknown options: {', '.join(unknown)}")
     return cfg.validate()
 
 

@@ -7,9 +7,12 @@ a smooth Heaviside of the filtered topology density r1.  A drainage sink
 members, so the load localizes at the evolving structural boundary.
 
 Assembling both terms over the hexagon quadrature gives the symmetric global
-flow matrix A; solving A p = 0 under Dirichlet pressure boundary conditions
-yields the nodal pressure field, converted to consistent nodal loads through
-the design-independent transformation matrix T as F = -T p.
+flow matrix A and the design-independent transformation matrix T
+(``assemble_flow(mesh, design, params) -> (A, T)``).  ``solve_pressure(A, T,
+mesh, pressure_bc)`` solves A p = 0 under Dirichlet pressure boundary
+conditions and returns a frozen ``PressureState`` holding A, T, p and the
+factorization; ``pressure_loads(T, p)`` gives the consistent nodal loads
+F = -T p.
 """
 
 from __future__ import annotations
@@ -120,37 +123,34 @@ def penetration_drainage(params: FlowParams, element_height,
     return (np.log(remainder) / ds) ** 2 * params.k_solid
 
 
-@dataclass
+@dataclass(frozen=True)
 class PressureState:
-    """Global flow system: matrix A, transformation T, and the solved field."""
+    """Flow matrix A, transformation T and the field p from ``solve_pressure``;
+    ``lu_solve`` is the free-free LU solve of A, reused by the adjoint.
+    """
 
     A: sp.csr_matrix
     T: sp.csr_matrix
-    design_fingerprint: str
-    p: np.ndarray | None = None
-    dirichlet_nodes: np.ndarray | None = None
-    dirichlet_values: np.ndarray | None = None
-    free_nodes: np.ndarray | None = None
-    _factorization: object = field(default=None, repr=False)
+    p: np.ndarray
+    free_nodes: np.ndarray
+    lu_solve: object = field(repr=False)
 
     def adjoint_solve(self, rhs):
         """Solve A lam = rhs on the free nodes, zero on Dirichlet nodes.
 
         Reuses the factorization of the state solve (A is symmetric).
         """
-        if self._factorization is None:
-            raise SolverError("pressure system has not been solved yet")
         lam = np.zeros(self.A.shape[0])
-        lam[self.free_nodes] = self._factorization(rhs[self.free_nodes])
+        lam[self.free_nodes] = self.lu_solve(rhs[self.free_nodes])
         return lam
 
 
-def assemble_flow(mesh, design, params: FlowParams) -> PressureState:
+def assemble_flow(mesh, design, params: FlowParams):
     """Assemble the global flow matrix A and transformation matrix T.
 
     A_e = K(r1) * integral grad N^T grad N + D(r1) * integral N^T N over the
     hexagon quadrature; T_e = t * integral N_u^T grad N_p, independent of the
-    design, so that F = -T p yields consistent nodal loads.
+    design, so that F = -T p yields consistent nodal loads.  Returns (A, T).
     """
     data = mesh_integrals(mesh)
     rho1 = design.filtered[:, 0]
@@ -172,15 +172,15 @@ def assemble_flow(mesh, design, params: FlowParams) -> PressureState:
     t = sp.coo_matrix(
         (t_data.ravel(), (t_rows.ravel(), t_cols.ravel())), shape=(2 * n, n)
     ).tocsr()
-    return PressureState(A=a, T=t, design_fingerprint=design.fingerprint())
+    return a, t
 
 
-def solve_pressure(state: PressureState, mesh, pressure_bc):
+def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
     """Impose Dirichlet pressures on named boundary edges and solve A p = 0.
 
     ``pressure_bc`` maps edge names ('top', 'bottom', 'left', 'right') to
-    pressure values in Pa.  Returns the nodal pressure vector and caches the
-    factorization on the state for adjoint reuse.
+    pressure values in Pa.  Returns the solved ``PressureState``, which keeps
+    the factorization for adjoint reuse.
     """
     node_sets = []
     for edge in pressure_bc:
@@ -191,7 +191,7 @@ def solve_pressure(state: PressureState, mesh, pressure_bc):
         raise IllPosedError("no Dirichlet pressure nodes; pressure field is "
                             "determined only up to a constant")
 
-    n = state.A.shape[0]
+    n = A.shape[0]
     # the four boundary node sets of a honeycomb are pairwise disjoint
     dirichlet = np.concatenate(node_sets)
     dvals = np.repeat(np.array(list(pressure_bc.values()), dtype=float),
@@ -200,7 +200,7 @@ def solve_pressure(state: PressureState, mesh, pressure_bc):
     dirichlet, dvals = dirichlet[order], dvals[order]
     free = np.setdiff1d(np.arange(n), dirichlet, assume_unique=True)
 
-    a_f = state.A[free]
+    a_f = A[free]
     a_ff = a_f[:, free].tocsc()
     rhs = -a_f[:, dirichlet] @ dvals
     try:
@@ -216,24 +216,16 @@ def solve_pressure(state: PressureState, mesh, pressure_bc):
     p[dirichlet] = dvals
     p[free] = lu.solve(rhs)
 
-    residual = np.linalg.norm((state.A @ p)[free])
-    denom = spla.norm(state.A) * np.linalg.norm(p)
+    residual = np.linalg.norm((A @ p)[free])
+    denom = spla.norm(A) * np.linalg.norm(p)
     if denom > 0 and residual / denom > _RESIDUAL_TOL:
         raise SolverError(
             f"pressure solve residual {residual / denom:.3e} exceeds "
             f"{_RESIDUAL_TOL:.1e}"
         )
-
-    state.p = p
-    state.dirichlet_nodes = dirichlet
-    state.dirichlet_values = dvals
-    state.free_nodes = free
-    state._factorization = lu.solve
-    return p
+    return PressureState(A=A, T=T, p=p, free_nodes=free, lu_solve=lu.solve)
 
 
-def pressure_loads(state: PressureState):
-    """Consistent nodal load vector F = -T p from the solved pressure field."""
-    if state.p is None:
-        raise SolverError("pressure field has not been solved yet")
-    return -(state.T @ state.p)
+def pressure_loads(T, p):
+    """Consistent nodal load vector F = -T p from a pressure field."""
+    return -(T @ p)

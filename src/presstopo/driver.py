@@ -155,7 +155,7 @@ def read_design_csv(path, n_elements, n_variables):
 
 
 def make_design(raw, filt, mesh, materials):
-    filtered = filt.apply_columns(raw)
+    filtered = filt.apply(raw)
     volumes = mesh.element_areas() * materials.thickness
     return fields.DesignField(
         raw=raw, filtered=filtered, element_volumes=volumes,
@@ -164,17 +164,19 @@ def make_design(raw, filt, mesh, materials):
 
 
 def analyze(design, mesh, materials, flow, fixed_dofs, pressure_bc):
-    """Solve the coupled flow/elasticity problem for one design."""
-    pstate = darcy.assemble_flow(mesh, design, flow)
-    darcy.solve_pressure(pstate, mesh, pressure_bc)
-    force = darcy.pressure_loads(pstate)
+    """Solve the coupled flow/elasticity problem for one design.
+
+    The returned ``ElasticState`` holds ``design`` and its ``PressureState``.
+    """
+    a, t = darcy.assemble_flow(mesh, design, flow)
+    pstate = darcy.solve_pressure(a, t, mesh, pressure_bc)
+    force = darcy.pressure_loads(t, pstate.p)
     stiffness = elasticity.assemble_stiffness(mesh, design, materials)
     u, compliance = elasticity.solve_displacements(stiffness, force, fixed_dofs)
-    estate = elasticity.ElasticState(
+    return elasticity.ElasticState(
         K=stiffness, u=u, F=force, fixed_dofs=fixed_dofs,
-        compliance=compliance, design_fingerprint=design.fingerprint(),
+        compliance=compliance, design=design, pressure=pstate,
     )
-    return pstate, estate
 
 
 def run_optimization(config, progress=None):
@@ -202,11 +204,11 @@ def run_optimization(config, progress=None):
     for it in range(1, config.max_iterations + 1):
         try:
             design = make_design(raw, filt, mesh, materials)
-            pstate, estate = analyze(design, mesh, materials, flow,
-                                     fixed_dofs, config.pressure_bc)
+            estate = analyze(design, mesh, materials, flow, fixed_dofs,
+                             config.pressure_bc)
             g = fields.volume_measures(design)
             dc = adjoint_mod.compliance_sensitivity(
-                mesh, design, materials, flow, pstate, estate, filt
+                mesh, materials, flow, estate, filt
             )
             x = raw.ravel(order="F")
             df0 = dc.ravel(order="F")
@@ -235,8 +237,8 @@ def run_optimization(config, progress=None):
 
     # final analysis so returned fields match the final design
     design = make_design(raw, filt, mesh, materials)
-    pstate, estate = analyze(design, mesh, materials, flow, fixed_dofs,
-                             config.pressure_bc)
+    estate = analyze(design, mesh, materials, flow, fixed_dofs,
+                     config.pressure_bc)
     log.wall_time = time.perf_counter() - start
-    return RunResult(log=log, design=design, pressure=pstate,
+    return RunResult(log=log, design=design, pressure=estate.pressure,
                      elastic=estate, mesh=mesh, config=config)

@@ -9,22 +9,26 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._element_data import element_quadrature, mesh_integrals, stiffness_kernel
+from .darcy import PressureState
 from .errors import InvalidArgumentError, SingularSystemError, SolverError
-from .fields import interpolate_modulus
+from .fields import DesignField, interpolate_modulus
 
 _RESIDUAL_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class ElasticState:
-    """Assembled stiffness, solved displacements, loads, and compliance."""
+    """Stiffness, displacements, loads and compliance solved for ``design``,
+    loaded by the field of ``pressure`` (F = -T p) solved for the same design.
+    """
 
     K: sp.csr_matrix
     u: np.ndarray
     F: np.ndarray
     fixed_dofs: np.ndarray
     compliance: float
-    design_fingerprint: str = ""
+    design: DesignField
+    pressure: PressureState
 
 
 def element_stiffness(element_vertices, e_modulus, nu, thickness):

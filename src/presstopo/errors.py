@@ -33,10 +33,6 @@ class IllPosedError(SolverError):
     """Problem lacks the boundary data needed for a unique solution."""
 
 
-class ConsistencyError(PresstopoError):
-    """States passed together do not belong to the same design."""
-
-
 class OptimizerError(PresstopoError):
     """The optimizer subproblem is infeasible or its solve failed."""
 

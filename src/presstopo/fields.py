@@ -15,7 +15,6 @@ sparse matrix of conic weights over element centroids.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -29,6 +28,8 @@ _RANGE_TOL = 1e-9
 
 def _check_unit_range(values, what):
     v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise InvalidArgumentError(f"{what} must be finite")
     if v.size and (v.min() < -_RANGE_TOL or v.max() > 1.0 + _RANGE_TOL):
         raise InvalidArgumentError(
             f"{what} must lie in [0, 1], got range [{v.min()}, {v.max()}]"
@@ -82,31 +83,21 @@ class FilterOperator:
     def n_elements(self):
         return self.H.shape[0]
 
-    def apply(self, raw):
-        """Filtered column H @ raw."""
-        raw = np.asarray(raw, dtype=float)
-        if raw.shape != (self.n_elements,):
+    def _rows(self, values):
+        values = np.asarray(values, dtype=float)
+        if values.ndim not in (1, 2) or values.shape[0] != self.n_elements:
             raise InvalidArgumentError(
-                f"expected length-{self.n_elements} column, got shape {raw.shape}"
+                f"expected {self.n_elements} rows, got shape {values.shape}"
             )
-        return self.H @ raw
+        return values
 
-    def apply_columns(self, raw):
-        """Filter each column of an (n_elements, m) matrix."""
-        raw = np.asarray(raw, dtype=float)
-        if raw.shape[0] != self.n_elements:
-            raise InvalidArgumentError("row count does not match the filter")
-        return self.H @ raw
+    def apply(self, raw):
+        """Filtered design H @ raw, for one column (n,) or columns (n, m)."""
+        return self.H @ self._rows(raw)
 
     def chain(self, d_filtered):
-        """Back-propagated sensitivity H^T @ d_filtered."""
-        d_filtered = np.asarray(d_filtered, dtype=float)
-        if d_filtered.shape != (self.n_elements,):
-            raise InvalidArgumentError(
-                f"expected length-{self.n_elements} column, got shape "
-                f"{d_filtered.shape}"
-            )
-        return self._HT @ d_filtered
+        """Back-propagated sensitivity H^T @ d_filtered, (n,) or (n, m)."""
+        return self._HT @ self._rows(d_filtered)
 
 
 def build_filter(mesh, r_fill) -> FilterOperator:
@@ -209,10 +200,6 @@ class DesignField:
     @property
     def n_variables(self):
         return self.raw.shape[1]
-
-    def fingerprint(self):
-        """Hash identifying the filtered design; used for state consistency."""
-        return hashlib.sha1(np.ascontiguousarray(self.filtered).tobytes()).hexdigest()
 
 
 def interpolate_modulus(design, materials: MaterialSet):

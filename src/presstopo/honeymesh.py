@@ -124,17 +124,6 @@ class Mesh:
             self._cache["centroids"] = cen
         return self._cache["centroids"]
 
-    def centroid_lattice(self):
-        """Integer lattice indices of the element centroids, (n_elements, 2).
-
-        Distances computed from lattice differences are bitwise identical for
-        geometrically congruent element pairs, which keeps symmetric meshes
-        exactly symmetric through the density filter.
-        """
-        kx = 3 * self.element_cols + 2
-        ky = 2 * self.element_rows + 1 + (self.element_cols & 1)
-        return np.column_stack([kx, ky])
-
     def lattice_scales(self):
         """Physical size of one lattice half-step in x and y."""
         return self._half_step

@@ -18,6 +18,11 @@ import numpy as np
 from .errors import InvalidArgumentError, OptimizerError
 
 _ALBEFA = 0.1          # keep bounds strictly inside the asymptotes
+_ASYMPTOTE_INIT = 0.5  # first two spans, relative to variable range
+_ASYMPTOTE_INCR = 1.2  # widen on monotone progress
+_ASYMPTOTE_DECR = 0.7  # shrink on oscillation
+_PENALTY = 1000.0      # weight of the elastic constraint slack
+_DUAL_TOL = 1e-9       # KKT residual the dual Newton solve must reach
 _GRAD_REG = 0.001      # fraction of |grad| mirrored to the opposite branch
 _CURV_REG = 1e-3       # absolute curvature floor (per unit variable range)
 _SPAN_MIN = 1e-8       # asymptote span clamps, relative to variable range
@@ -33,11 +38,6 @@ class MmaState:
     lower: np.ndarray
     upper: np.ndarray
     move_limit: float = 0.1
-    asymptote_init: float = 0.5
-    asymptote_incr: float = 1.2
-    asymptote_decr: float = 0.7
-    constraint_penalty: float = 1000.0
-    dual_tolerance: float = 1e-9
     iteration: int = 0
     lower_asymptotes: np.ndarray | None = None
     upper_asymptotes: np.ndarray | None = None
@@ -47,12 +47,9 @@ class MmaState:
     _dual_warm: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def for_variables(cls, n, lower=0.0, upper=1.0, **kwargs):
-        return cls(
-            lower=np.full(n, float(lower)),
-            upper=np.full(n, float(upper)),
-            **kwargs,
-        )
+    def for_variables(cls, n, move_limit=0.1):
+        """State for n variables in the unit box."""
+        return cls(lower=np.zeros(n), upper=np.ones(n), move_limit=move_limit)
 
 
 def mma_update(x, f0, df0, g, dg, state: MmaState):
@@ -71,6 +68,10 @@ def mma_update(x, f0, df0, g, dg, state: MmaState):
     dg = np.asarray(dg, dtype=float).reshape(m, n) if m else np.zeros((0, n))
     if df0.shape != (n,):
         raise InvalidArgumentError("objective gradient has wrong length")
+    for name, value in (("objective", f0), ("objective gradient", df0),
+                        ("constraint values", g), ("constraint gradients", dg)):
+        if not np.all(np.isfinite(value)):
+            raise InvalidArgumentError(f"{name} must be finite")
     if state.lower.shape != (n,):
         raise InvalidArgumentError("state dimension does not match x")
     if np.any(x < state.lower - _BOUND_TOL) or np.any(x > state.upper + _BOUND_TOL):
@@ -85,13 +86,13 @@ def mma_update(x, f0, df0, g, dg, state: MmaState):
     rng = state.upper - state.lower
     it = state.iteration + 1
     if it <= 2 or state.x_prev is None or state.x_prev2 is None:
-        low = x - state.asymptote_init * rng
-        upp = x + state.asymptote_init * rng
+        low = x - _ASYMPTOTE_INIT * rng
+        upp = x + _ASYMPTOTE_INIT * rng
     else:
         osc = (x - state.x_prev) * (state.x_prev - state.x_prev2)
         factor = np.ones(n)
-        factor[osc > 0] = state.asymptote_incr
-        factor[osc < 0] = state.asymptote_decr
+        factor[osc > 0] = _ASYMPTOTE_INCR
+        factor[osc < 0] = _ASYMPTOTE_DECR
         low = x - factor * (state.x_prev - state.lower_asymptotes)
         upp = x + factor * (state.upper_asymptotes - state.x_prev)
         low = np.clip(low, x - _SPAN_MAX * rng, x - _SPAN_MIN * rng)
@@ -113,8 +114,7 @@ def mma_update(x, f0, df0, g, dg, state: MmaState):
         qc = xl[None, :] ** 2 * (np.maximum(-dg, 0.0) + regc)
         b = pc @ (1.0 / ux) + qc @ (1.0 / xl) - g
         lam, x_new, kkt = _solve_dual(
-            p0, q0, pc, qc, b, low, upp, alfa, beta,
-            state.constraint_penalty, state.dual_tolerance, state._dual_warm
+            p0, q0, pc, qc, b, low, upp, alfa, beta, state._dual_warm
         )
         state._dual_warm = lam
     else:
@@ -143,11 +143,11 @@ def _primal_minimizer(p, q, low, upp, alfa, beta):
     return np.clip(x, alfa, beta)
 
 
-def _solve_dual(p0, q0, pc, qc, b, low, upp, alfa, beta, penalty, tol, warm):
+def _solve_dual(p0, q0, pc, qc, b, low, upp, alfa, beta, warm):
     """Maximize the concave dual over lam >= 0 by damped projected Newton."""
     m = b.size
     if warm is not None and warm.shape == (m,):
-        lam = np.clip(warm, 0.0, penalty + 1.0)
+        lam = np.clip(warm, 0.0, _PENALTY + 1.0)
     else:
         lam = np.zeros(m)
 
@@ -157,7 +157,7 @@ def _solve_dual(p0, q0, pc, qc, b, low, upp, alfa, beta, penalty, tol, warm):
         x = _primal_minimizer(pt, qt, low, upp, alfa, beta)
         ux = upp - x
         xl = x - low
-        elastic = np.maximum(lam - penalty, 0.0)
+        elastic = np.maximum(lam - _PENALTY, 0.0)
         value = (pt / ux + qt / xl).sum() - lam @ b - 0.5 * (elastic**2).sum()
         grad = pc @ (1.0 / ux) + qc @ (1.0 / xl) - b - elastic
         return value, grad, x, pt, qt
@@ -165,7 +165,7 @@ def _solve_dual(p0, q0, pc, qc, b, low, upp, alfa, beta, penalty, tol, warm):
     value, grad, x, pt, qt = evaluate(lam)
     kkt = np.abs(lam - np.maximum(0.0, lam + grad)).max()
     for _ in range(_DUAL_MAX_ITER):
-        if kkt < tol:
+        if kkt < _DUAL_TOL:
             break
         ux = upp - x
         xl = x - low
@@ -173,7 +173,7 @@ def _solve_dual(p0, q0, pc, qc, b, low, upp, alfa, beta, penalty, tol, warm):
         dgdx = pc / ux[None, :] ** 2 - qc / xl[None, :] ** 2
         curv = 2.0 * pt / ux**3 + 2.0 * qt / xl**3
         cols = dgdx[:, interior] / np.sqrt(curv[interior])[None, :]
-        hess = cols @ cols.T + np.diag((lam > penalty).astype(float))
+        hess = cols @ cols.T + np.diag((lam > _PENALTY).astype(float))
         # clamp multipliers that are at zero and want to decrease
         clamped = (lam <= 0.0) & (grad < 0.0)
         free = ~clamped
@@ -186,7 +186,7 @@ def _solve_dual(p0, q0, pc, qc, b, low, upp, alfa, beta, penalty, tol, warm):
             step[free] = np.linalg.solve(h_ff, grad[free])
             # a near-singular Hessian (all variables pinned at their bounds)
             # yields astronomically long steps; cap at the dual's live range
-            cap = 10.0 * (penalty + np.abs(lam).max() + 1.0)
+            cap = 10.0 * (_PENALTY + np.abs(lam).max() + 1.0)
             norm = np.abs(step).max()
             if norm > cap:
                 step *= cap / norm
@@ -210,9 +210,9 @@ def _solve_dual(p0, q0, pc, qc, b, low, upp, alfa, beta, penalty, tol, warm):
             t *= 0.5
         if not improved:
             break
-    if kkt >= tol:
+    if kkt >= _DUAL_TOL:
         raise OptimizerError(
-            f"dual Newton did not reach KKT residual {tol:.1e} "
+            f"dual Newton did not reach KKT residual {_DUAL_TOL:.1e} "
             f"(achieved {kkt:.3e})"
         )
     return lam, x, kkt

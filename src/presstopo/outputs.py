@@ -15,14 +15,11 @@ _MATERIAL_COLORS = ["#000000", "#ff8c00", "#ffd700"]
 _VOID_COLOR = "#ffffff"
 
 
-def write_outputs(result, output_dir, write_vtk=None, write_svg=None,
-                  pressure_isolines=None):
+def write_outputs(result, output_dir, write_vtk=None, write_svg=None):
     """Write all result files for a finished run; returns the paths written."""
     cfg = result.config
     write_vtk = cfg.write_vtk if write_vtk is None else write_vtk
     write_svg = cfg.write_svg if write_svg is None else write_svg
-    if pressure_isolines is None:
-        pressure_isolines = cfg.pressure_isolines
     out = Path(output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -42,7 +39,7 @@ def write_outputs(result, output_dir, write_vtk=None, write_svg=None,
             path = out / "final.svg"
             write_material_svg(path, result.mesh, result.design,
                                pressure=result.pressure.p
-                               if pressure_isolines else None)
+                               if cfg.pressure_isolines else None)
             written.append(path)
         return written
     except OSError as exc:

@@ -65,12 +65,10 @@ def arch_fixture():
     rng = np.random.default_rng(42)
     raw = rng.uniform(0.15, 0.85, size=(mesh.n_elements, 2))
     design = driver.make_design(raw, filt, mesh, materials)
-    pstate, estate = driver.analyze(
-        design, mesh, materials, flow, fixed, cfg.pressure_bc
-    )
+    estate = driver.analyze(design, mesh, materials, flow, fixed,
+                            cfg.pressure_bc)
     return dict(cfg=cfg, mesh=mesh, filt=filt, materials=materials, flow=flow,
-                fixed=fixed, raw=raw, design=design, pstate=pstate,
-                estate=estate)
+                fixed=fixed, raw=raw, design=design, estate=estate)
 
 
 def boundary_edges(mesh):

@@ -63,6 +63,13 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
         assert "nex" in capsys.readouterr().err
 
+    def test_unknown_option_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG.replace("max_iterations = 2",
+                                            "max_iteration = 5"))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert "[optimizer] max_iteration" in capsys.readouterr().err
+
     def test_builtin_names_resolve(self):
         assert set(builtin_config_names()) == {
             "arch-2mat", "arch-3mat", "piston-2mat", "piston-3mat"}

@@ -14,6 +14,8 @@ from presstopo import (
     solve_displacements,
 )
 
+from presstopo._element_data import mesh_integrals
+
 from conftest import make_uniform_design, regular_hexagon
 
 
@@ -106,6 +108,12 @@ class TestAssembleStiffness:
         diff = (k - k.T).tocoo()
         scale = np.abs(k.data).max()
         assert (np.abs(diff.data).max() if diff.nnz else 0.0) < 1e-12 * scale
+
+    def test_stiffness_template_built_once(self, mesh_5x4):
+        data = mesh_integrals(mesh_5x4)
+        k0 = data.stiffness(0.4, 1e-3)
+        assert data.stiffness(0.4, 1e-3) is k0
+        assert not k0.flags.writeable
 
     def test_energy_matches_elementwise_sum(self, mesh_5x4):
         rng = np.random.default_rng(0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from presstopo import (
+    DesignField,
     InvalidArgumentError,
     MaterialSet,
     build_filter,
@@ -110,6 +111,16 @@ class TestFilter:
         rng = np.random.default_rng(4)
         s = rng.normal(size=mesh.n_elements)
         assert np.abs(filt.chain(s) - h_dense.T @ s).max() < 1e-13
+
+
+class TestDesignField:
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_raw_rejected(self, filt, mesh, column):
+        raw = np.full((mesh.n_elements, 2), 0.5)
+        raw[3, column] = np.nan
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            DesignField(raw=raw, filtered=filt.apply(raw),
+                        element_volumes=mesh.element_areas())
 
 
 class TestMaterialSet:

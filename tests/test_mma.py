@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from presstopo import InvalidArgumentError, OptimizerError
-from presstopo.mma import MmaState, mma_update
+from presstopo.mma import _DUAL_TOL, MmaState, mma_update
 
 
 def run_unconstrained(objective, gradient, x0, iterations):
@@ -106,7 +106,7 @@ class TestContracts:
             g = np.array([x.mean() - 0.4])
             dg = np.full((1, n), 1.0 / n)
             x = mma_update(x, 0.0, rng.normal(size=n), g, dg, state)
-            assert state.last_kkt_residual < state.dual_tolerance
+            assert state.last_kkt_residual < _DUAL_TOL
 
     def test_infeasible_zero_gradient_raises(self):
         n = 5
@@ -121,6 +121,20 @@ class TestContracts:
         with pytest.raises(InvalidArgumentError):
             mma_update(np.full(n, 1.5), 0.0, np.zeros(n), np.zeros(0),
                        np.zeros((0, n)), state)
+
+    @pytest.mark.parametrize("bad", ["f0", "df0", "g", "dg"])
+    def test_non_finite_inputs_rejected(self, bad):
+        n = 5
+        state = MmaState.for_variables(n)
+        args = dict(f0=1.0, df0=np.ones(n), g=np.array([-0.1]),
+                    dg=np.ones((1, n)))
+        if bad == "f0":
+            args["f0"] = np.nan
+        else:
+            args[bad].flat[0] = np.inf
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            mma_update(np.full(n, 0.5), state=state, **args)
+        assert state.iteration == 0
 
     def test_dimension_mismatch_rejected(self):
         state = MmaState.for_variables(5)
