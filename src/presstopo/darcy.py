@@ -8,11 +8,14 @@ members, so the load localizes at the evolving structural boundary.
 
 Assembling both terms over the hexagon quadrature gives the symmetric global
 flow matrix A and the design-independent transformation matrix T
-(``assemble_flow(mesh, design, params) -> (A, T)``).  ``solve_pressure(A, T,
-mesh, pressure_bc)`` solves A p = 0 under Dirichlet pressure boundary
-conditions and returns a frozen ``PressureState`` holding A, T, p and the
-factorization; ``pressure_loads(T, p)`` gives the consistent nodal loads
-F = -T p.
+(``assemble_flow(mesh, design, params) -> (A, T)``).  A is one
+``np.bincount`` of the scaled element templates into the mesh's fixed flow
+pattern; T is built once per mesh and thickness and then reused.
+``solve_pressure(A, T, mesh, pressure_bc)`` takes A_ff and A_fd out of A's
+``data`` by an index gather built once per set of Dirichlet edges, solves
+A p = 0 under the Dirichlet pressures and returns a frozen ``PressureState``
+holding A, T, p and the factorization; ``pressure_loads(T, p)`` gives the
+consistent nodal loads F = -T p.
 """
 
 from __future__ import annotations
@@ -150,38 +153,21 @@ def assemble_flow(mesh, design, params: FlowParams):
 
     A_e = K(r1) * integral grad N^T grad N + D(r1) * integral N^T N over the
     hexagon quadrature; T_e = t * integral N_u^T grad N_p, independent of the
-    design, so that F = -T p yields consistent nodal loads.  Returns (A, T).
+    design, so that F = -T p yields consistent nodal loads.  Returns (A, T);
+    T is built once per mesh and thickness and returned again after that.
     """
     data = mesh_integrals(mesh)
     rho1 = design.filtered[:, 0]
     k, _ = flow_coefficient(rho1, params)
     d, _ = drainage_coefficient(rho1, params)
-    a_data = k[:, None, None] * data.diffusion + d[:, None, None] * data.mass
-
-    conn, udofs = data.conn, data.udofs
-    n = mesh.n_nodes
-    rows = np.broadcast_to(conn[:, :, None], a_data.shape)
-    cols = np.broadcast_to(conn[:, None, :], a_data.shape)
-    a = sp.coo_matrix(
-        (a_data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-    ).tocsr()
-
-    t_data = np.broadcast_to(data.load(design.thickness), udofs.shape + (6,))
-    t_rows = np.broadcast_to(udofs[:, :, None], t_data.shape)
-    t_cols = np.broadcast_to(conn[:, None, :], t_data.shape)
-    t = sp.coo_matrix(
-        (t_data.ravel(), (t_rows.ravel(), t_cols.ravel())), shape=(2 * n, n)
-    ).tocsr()
-    return a, t
+    a = data.flow_pattern.assemble(
+        k[:, None, None] * data.diffusion + d[:, None, None] * data.mass)
+    return a, data.load_matrix(design.thickness)
 
 
-def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
-    """Impose Dirichlet pressures on named boundary edges and solve A p = 0.
-
-    ``pressure_bc`` maps edge names ('top', 'bottom', 'left', 'right') to
-    pressure values in Pa.  Returns the solved ``PressureState``, which keeps
-    the factorization for adjoint reuse.
-    """
+def _dirichlet_split(pattern, mesh, pressure_bc):
+    """Sorted Dirichlet nodes, the index in ``pressure_bc`` of each one's
+    edge, the free nodes, and the A_ff and A_fd gathers."""
     node_sets = []
     for edge in pressure_bc:
         if edge not in mesh.boundary_node_sets:
@@ -190,19 +176,40 @@ def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
     if not node_sets:
         raise IllPosedError("no Dirichlet pressure nodes; pressure field is "
                             "determined only up to a constant")
-
-    n = A.shape[0]
     # the four boundary node sets of a honeycomb are pairwise disjoint
     dirichlet = np.concatenate(node_sets)
-    dvals = np.repeat(np.array(list(pressure_bc.values()), dtype=float),
-                      [nodes.size for nodes in node_sets])
+    edge = np.repeat(np.arange(len(node_sets)),
+                     [nodes.size for nodes in node_sets])
     order = np.argsort(dirichlet)
-    dirichlet, dvals = dirichlet[order], dvals[order]
-    free = np.setdiff1d(np.arange(n), dirichlet, assume_unique=True)
+    dirichlet, edge = dirichlet[order], edge[order]
+    free = np.setdiff1d(np.arange(pattern.shape[0]), dirichlet,
+                        assume_unique=True)
+    free.flags.writeable = False
+    return (dirichlet, edge, free, pattern.gather(free, free),
+            pattern.gather(free, dirichlet))
 
-    a_f = A[free]
-    a_ff = a_f[:, free].tocsc()
-    rhs = -a_f[:, dirichlet] @ dvals
+
+def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
+    """Impose Dirichlet pressures on named boundary edges and solve A p = 0.
+
+    ``pressure_bc`` maps edge names ('top', 'bottom', 'left', 'right') to
+    pressure values in Pa; ``A`` comes from ``assemble_flow`` on ``mesh``.
+    Returns the solved ``PressureState``, which keeps the factorization for
+    adjoint reuse.  The node sets and the A_ff / A_fd gathers are built once
+    per mesh and set of edges.
+    """
+    pattern = mesh_integrals(mesh).flow_pattern
+    if not pattern.holds(A):
+        raise InvalidArgumentError("A was not assembled on this mesh")
+    key = tuple(pressure_bc)
+    if key not in pattern.bc_cache:
+        pattern.bc_cache[key] = _dirichlet_split(pattern, mesh, pressure_bc)
+    dirichlet, edge, free, ff, fd = pattern.bc_cache[key]
+    dvals = np.array(list(pressure_bc.values()), dtype=float)[edge]
+
+    n = A.shape[0]
+    a_ff = ff(A)
+    rhs = -(fd(A) @ dvals)
     try:
         lu = spla.splu(a_ff, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:

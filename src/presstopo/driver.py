@@ -172,7 +172,8 @@ def analyze(design, mesh, materials, flow, fixed_dofs, pressure_bc):
     pstate = darcy.solve_pressure(a, t, mesh, pressure_bc)
     force = darcy.pressure_loads(t, pstate.p)
     stiffness = elasticity.assemble_stiffness(mesh, design, materials)
-    u, compliance = elasticity.solve_displacements(stiffness, force, fixed_dofs)
+    u, compliance = elasticity.solve_displacements(stiffness, force, mesh,
+                                                   fixed_dofs)
     return elasticity.ElasticState(
         K=stiffness, u=u, F=force, fixed_dofs=fixed_dofs,
         compliance=compliance, design=design, pressure=pstate,

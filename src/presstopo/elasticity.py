@@ -1,4 +1,12 @@
-"""Plane-stress elasticity on the hexagonal mesh with SIMP-interpolated moduli."""
+"""Plane-stress elasticity on the hexagonal mesh with SIMP-interpolated moduli.
+
+``assemble_stiffness(mesh, design, materials)`` scales the one unit-modulus
+element template by each element's interpolated modulus and sums the
+entries into the mesh's fixed stiffness pattern with one ``np.bincount``.
+``solve_displacements(K, F, mesh, fixed_dofs)`` takes K_ff and K_fd out of
+K's ``data`` by an index gather built once per set of supports, factors K_ff
+with SuperLU and checks the residual on the free DOFs.
+"""
 
 from __future__ import annotations
 
@@ -50,43 +58,51 @@ def assemble_stiffness(mesh, design, materials):
     """Global stiffness with per-element modulus from the SIMP interpolation."""
     data = mesh_integrals(mesh)
     e_elem = interpolate_modulus(design.filtered, materials)
-    k_data = e_elem[:, None, None] * data.stiffness(materials.nu,
-                                                    materials.thickness)
-    udofs = data.udofs
-    rows = np.broadcast_to(udofs[:, :, None], k_data.shape)
-    cols = np.broadcast_to(udofs[:, None, :], k_data.shape)
-    ndof = 2 * mesh.n_nodes
-    return sp.coo_matrix(
-        (k_data.ravel(), (rows.ravel(), cols.ravel())), shape=(ndof, ndof)
-    ).tocsr()
+    return data.stiffness_pattern.assemble(
+        e_elem[:, None, None] * data.stiffness(materials.nu,
+                                               materials.thickness))
 
 
-def solve_displacements(K, F, fixed_dofs, fixed_values=None):
-    """Solve K u = F with Dirichlet DOFs eliminated; return (u, compliance).
-
-    ``fixed_values`` defaults to homogeneous supports.  The reduced system is
-    solved by sparse LU; the residual on the free DOFs must satisfy
-    ||K u - F|| / ||F|| < 1e-9.
-    """
-    F = np.asarray(F, dtype=float)
-    ndof = K.shape[0]
+def _support_split(pattern, fixed_dofs):
+    """Sorted fixed DOFs, the free DOFs and the K_ff and K_fd gathers."""
     fixed = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
     if fixed.size < 3:
         raise SingularSystemError(
             "fewer than three constrained DOFs cannot remove the rigid-body "
             "modes (two translations and one rotation)"
         )
+    free = np.setdiff1d(np.arange(pattern.shape[0]), fixed, assume_unique=True)
+    fixed.flags.writeable = free.flags.writeable = False
+    return fixed, free, pattern.gather(free, free), pattern.gather(free, fixed)
+
+
+def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
+    """Solve K u = F with Dirichlet DOFs eliminated; return (u, compliance).
+
+    ``K`` comes from ``assemble_stiffness`` on ``mesh``.  ``fixed_values``
+    defaults to homogeneous supports.  The reduced system is solved by sparse
+    LU; the residual on the free DOFs must satisfy ||K u - F|| / ||F|| < 1e-9.
+    The DOF sets and the K_ff / K_fd gathers are built once per mesh and set
+    of supports.
+    """
+    F = np.asarray(F, dtype=float)
+    pattern = mesh_integrals(mesh).stiffness_pattern
+    if not pattern.holds(K):
+        raise InvalidArgumentError("K was not assembled on this mesh")
+    key = np.asarray(fixed_dofs, dtype=np.int64).tobytes()
+    if key not in pattern.bc_cache:
+        pattern.bc_cache[key] = _support_split(pattern, fixed_dofs)
+    fixed, free, ff, fd = pattern.bc_cache[key]
+    ndof = K.shape[0]
     if fixed_values is None:
         fvals = np.zeros(fixed.size)
     else:
         fvals = np.asarray(fixed_values, dtype=float)
         if fvals.shape != fixed.shape:
             raise InvalidArgumentError("fixed_values length mismatch")
-    free = np.setdiff1d(np.arange(ndof), fixed, assume_unique=True)
 
-    k_f = K[free]
-    k_ff = k_f[:, free].tocsc()
-    rhs = F[free] - k_f[:, fixed] @ fvals
+    k_ff = ff(K)
+    rhs = F[free] - fd(K) @ fvals
     try:
         lu = spla.splu(k_ff, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:

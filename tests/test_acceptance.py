@@ -172,7 +172,7 @@ class TestCriterion4ElementQuality:
         u_exact = (mesh.nodes @ grad.T).ravel()
         bnodes = domain_boundary_nodes(mesh)
         fixed = np.sort(np.concatenate([2 * bnodes, 2 * bnodes + 1]))
-        u, _ = solve_displacements(k, np.zeros(k.shape[0]), fixed,
+        u, _ = solve_displacements(k, np.zeros(k.shape[0]), mesh, fixed,
                                    u_exact[fixed])
         interior = np.setdiff1d(np.arange(k.shape[0]), fixed)
         rel = np.abs(u[interior] - u_exact[interior]).max() \

@@ -1,0 +1,161 @@
+"""Scatter assembly into the fixed per-mesh patterns, and the gathered blocks.
+
+The oracle assembles every element matrix into a dense array one element at
+a time; the gathered free blocks are compared with dense slicing.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from presstopo import (
+    FlowParams,
+    InvalidArgumentError,
+    MaterialSet,
+    assemble_flow,
+    assemble_stiffness,
+    generate_mesh,
+    solve_displacements,
+    solve_pressure,
+)
+from presstopo._element_data import mesh_integrals
+from presstopo.darcy import drainage_coefficient, flow_coefficient
+from presstopo.fields import interpolate_modulus
+
+from conftest import make_uniform_design
+
+MATS = MaterialSet(e_moduli=(40e6, 100e6), nu=0.4, thickness=1e-3)
+FLOW = FlowParams(d_solid=0.5)
+EDGES = ("top", "bottom", "left", "right")
+
+
+def dense_oracle(shape, row_dofs, col_dofs, blocks):
+    out = np.zeros(shape)
+    for rows, cols, block in zip(row_dofs, col_dofs, blocks):
+        out[np.ix_(rows, cols)] += block
+    return out
+
+
+def assert_canonical_csc(block):
+    assert block.format == "csc"
+    for j in range(block.shape[1]):
+        rows = block.indices[block.indptr[j]:block.indptr[j + 1]]
+        assert np.all(np.diff(rows) > 0)  # sorted, no duplicates
+
+
+@st.composite
+def problems(draw):
+    nex = draw(st.integers(1, 8))
+    ney = draw(st.integers(1, 6))
+    mesh = generate_mesh(nex, ney, 0.1 * nex, 0.1 * ney)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    design = make_uniform_design(mesh, [0.5, 0.5])
+    design.filtered = rng.uniform(0.0, 1.0, design.filtered.shape)
+    ndof = 2 * mesh.n_nodes
+    n_fixed = draw(st.integers(1, ndof - 1))
+    fixed = np.sort(rng.choice(ndof, size=n_fixed, replace=False))
+    edges = draw(st.lists(st.sampled_from(EDGES), min_size=1, max_size=4,
+                          unique=True))
+    return mesh, design, fixed, edges
+
+
+class TestScatterAssembly:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(problems())
+    def test_matches_dense_oracle_and_gathers(self, problem):
+        mesh, design, fixed, edges = problem
+        data = mesh_integrals(mesh)
+        k = assemble_stiffness(mesh, design, MATS)
+        a, t = assemble_flow(mesh, design, FLOW)
+
+        e_elem = interpolate_modulus(design.filtered, MATS)
+        k0 = data.stiffness(MATS.nu, MATS.thickness)
+        k_dense = dense_oracle(k.shape, data.udofs, data.udofs,
+                               [e * k0 for e in e_elem])
+        kf, _ = flow_coefficient(design.filtered[:, 0], FLOW)
+        df, _ = drainage_coefficient(design.filtered[:, 0], FLOW)
+        a_dense = dense_oracle(a.shape, data.conn, data.conn,
+                               [ki * data.diffusion + di * data.mass
+                                for ki, di in zip(kf, df)])
+        t_e = data.load(design.thickness)
+        t_dense = dense_oracle(t.shape, data.udofs, data.conn,
+                               [t_e] * mesh.n_elements)
+        for got, want in ((k, k_dense), (a, a_dense), (t, t_dense)):
+            assert got.has_canonical_format
+            assert np.abs(got.toarray() - want).max() \
+                <= 1e-13 * np.abs(want).max()
+
+        free = np.setdiff1d(np.arange(k.shape[0]), fixed)
+        dirichlet = np.unique(np.concatenate(
+            [mesh.boundary_node_sets[edge] for edge in edges]))
+        free_nodes = np.setdiff1d(np.arange(a.shape[0]), dirichlet)
+        blocks = [
+            (data.stiffness_pattern, k, free, free),
+            (data.stiffness_pattern, k, free, fixed),
+            (data.flow_pattern, a, free_nodes, free_nodes),
+            (data.flow_pattern, a, free_nodes, dirichlet),
+        ]
+        for pattern, matrix, rows, cols in blocks:
+            block = pattern.gather(rows, cols)(matrix)
+            assert_canonical_csc(block)
+            assert np.array_equal(block.toarray(),
+                                  matrix.toarray()[rows][:, cols])
+
+
+class TestPatternsBuiltOnce:
+    def test_lazy_and_shared_per_mesh(self):
+        mesh = generate_mesh(5, 4, 1.0, 0.8)
+        data = mesh_integrals(mesh)
+        built = ("_node_pattern", "flow_pattern", "stiffness_pattern")
+        assert not any(name in vars(data) for name in built)
+
+        design = make_uniform_design(mesh, [0.5, 0.5])
+        k1 = assemble_stiffness(mesh, design, MATS)
+        k2 = assemble_stiffness(mesh, design, MATS)
+        assert k1.indptr is k2.indptr is data.stiffness_pattern.indptr
+        assert np.shares_memory(k1.indices, k2.indices)
+        (a1, t1), (a2, t2) = (assemble_flow(mesh, design, FLOW)
+                              for _ in range(2))
+        assert a1.indptr is a2.indptr is data.flow_pattern.indptr
+        assert t1 is t2
+        assert not t1.data.flags.writeable
+
+        thicker = make_uniform_design(mesh, [0.5, 0.5], thickness=2e-3)
+        t3 = assemble_flow(mesh, thicker, FLOW)[1]
+        assert t3 is not t1
+        assert np.allclose(t3.toarray(), 2.0 * t1.toarray(), rtol=1e-15,
+                           atol=0.0)
+
+    def test_gathers_built_once_per_boundary_set(self):
+        mesh = generate_mesh(4, 3, 0.4, 0.3)
+        design = make_uniform_design(mesh, [0.6, 0.5])
+        bc = {"top": 1e5, "bottom": 0.0}
+        s1 = solve_pressure(*assemble_flow(mesh, design, FLOW), mesh, bc)
+        s2 = solve_pressure(*assemble_flow(mesh, design, FLOW), mesh,
+                            {"top": 2e5, "bottom": 0.0})
+        assert s1.free_nodes is s2.free_nodes
+        assert len(mesh_integrals(mesh).flow_pattern.bc_cache) == 1
+        assert np.allclose(s2.p, 2.0 * s1.p, rtol=1e-12, atol=0.0)
+
+        bottom = mesh.boundary_node_sets["bottom"]
+        fixed = np.sort(np.concatenate([2 * bottom, 2 * bottom + 1]))
+        k = assemble_stiffness(mesh, design, MATS)
+        f = np.zeros(k.shape[0])
+        f[2 * mesh.boundary_node_sets["top"] + 1] = -1.0
+        for _ in range(2):
+            solve_displacements(k, f, mesh, fixed)
+        assert len(mesh_integrals(mesh).stiffness_pattern.bc_cache) == 1
+
+    def test_matrix_of_another_mesh_rejected(self):
+        mesh = generate_mesh(4, 3, 0.4, 0.3)
+        other = generate_mesh(4, 3, 0.4, 0.3)
+        design = make_uniform_design(mesh, [0.6, 0.5])
+        k = assemble_stiffness(other, design, MATS)
+        with pytest.raises(InvalidArgumentError):
+            solve_displacements(k, np.zeros(k.shape[0]), mesh,
+                                np.arange(6))
+        a, t = assemble_flow(other, design, FLOW)
+        with pytest.raises(InvalidArgumentError):
+            solve_pressure(a, t, mesh, {"top": 1e5})

@@ -148,7 +148,7 @@ class TestSolveDisplacements:
 
     def test_zero_force_zero_displacement(self, mesh_5x4):
         k, fixed = self._system(mesh_5x4)
-        u, c = solve_displacements(k, np.zeros(k.shape[0]), fixed)
+        u, c = solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4, fixed)
         assert np.all(u == 0.0)
         assert c == 0.0
 
@@ -161,7 +161,7 @@ class TestSolveDisplacements:
         top = mesh.boundary_node_sets["top"][0]
         f = np.zeros(k.shape[0])
         f[2 * top + 1] = -1.0  # unit nodal load
-        u, c = solve_displacements(k, f, fixed)
+        u, c = solve_displacements(k, f, mesh, fixed)
         free = np.setdiff1d(np.arange(k.shape[0]), fixed)
         dense = np.zeros(k.shape[0])
         dense[free] = np.linalg.solve(k[free][:, free].toarray(), f[free])
@@ -175,7 +175,7 @@ class TestSolveDisplacements:
         k, fixed = self._system(mesh)
         rng = np.random.default_rng(1)
         f = rng.normal(size=k.shape[0])
-        u, c = solve_displacements(k, f, fixed)
+        u, c = solve_displacements(k, f, mesh, fixed)
         free = np.setdiff1d(np.arange(k.shape[0]), fixed)
         dense = np.zeros(k.shape[0])
         dense[free] = np.linalg.solve(k[free][:, free].toarray(), f[free])
@@ -191,21 +191,22 @@ class TestSolveDisplacements:
         rng = np.random.default_rng(2)
         f = rng.normal(size=2 * mesh_5x4.n_nodes)
         _, c1 = solve_displacements(
-            assemble_stiffness(mesh_5x4, design, soft), f, fixed)
+            assemble_stiffness(mesh_5x4, design, soft), f, mesh_5x4, fixed)
         _, c2 = solve_displacements(
-            assemble_stiffness(mesh_5x4, design, stiff), f, fixed)
+            assemble_stiffness(mesh_5x4, design, stiff), f, mesh_5x4, fixed)
         assert c2 == pytest.approx(0.5 * c1, rel=1e-9)
 
     def test_insufficient_constraints(self, mesh_5x4):
         k, _ = self._system(mesh_5x4)
         with pytest.raises(SingularSystemError):
-            solve_displacements(k, np.zeros(k.shape[0]), np.array([0, 1]))
+            solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4,
+                                np.array([0, 1]))
 
     def test_residual_tolerance(self, mesh_5x4):
         k, fixed = self._system(mesh_5x4, rho=(0.4, 0.6))
         rng = np.random.default_rng(3)
         f = rng.normal(size=k.shape[0])
-        u, _ = solve_displacements(k, f, fixed)
+        u, _ = solve_displacements(k, f, mesh_5x4, fixed)
         free = np.setdiff1d(np.arange(k.shape[0]), fixed)
         r = np.linalg.norm(k[free][:, free] @ u[free] - f[free])
         assert r / np.linalg.norm(f[free]) < 1e-9
@@ -221,7 +222,7 @@ class TestPatchTest:
         u_exact = (mesh.nodes @ grad.T).ravel()
         bnodes = domain_boundary_nodes(mesh)
         fixed = np.sort(np.concatenate([2 * bnodes, 2 * bnodes + 1]))
-        u, _ = solve_displacements(k, np.zeros(k.shape[0]), fixed,
+        u, _ = solve_displacements(k, np.zeros(k.shape[0]), mesh, fixed,
                                    u_exact[fixed])
         interior = np.setdiff1d(np.arange(k.shape[0]), fixed)
         rel = np.abs(u[interior] - u_exact[interior]).max()
@@ -245,7 +246,7 @@ class TestComplianceMonotonicity:
             design = make_uniform_design(mesh, [0.5, 0.5])
             design.filtered = filtered
             k = assemble_stiffness(mesh, design, mats)
-            return solve_displacements(k, f, fixed)[1]
+            return solve_displacements(k, f, mesh, fixed)[1]
 
         base = rng.uniform(0.3, 0.7, size=(mesh.n_elements, 2))
         c0 = compliance(base)
