@@ -12,20 +12,25 @@ global matrix and the slot of every element entry in its ``data`` are built
 once per mesh, on the first assembly (``MeshIntegrals.flow_pattern`` and
 ``stiffness_pattern``), after Andreassen et al. 2011 ("top88") and Ferrari &
 Sigmund 2020 ("top99neo").  An assembly is then one ``np.bincount`` into the
-fixed pattern, and ``Pattern.gather`` gives the index gather that takes a
-block such as K_ff out of the assembled ``data`` in canonical CSC form.  The
-design-independent load transformation T is assembled once per thickness
-(``MeshIntegrals.load_matrix``).
+fixed pattern.  The design-independent load transformation T is assembled
+once per thickness (``MeshIntegrals.load_matrix``).
+
+Both solves prescribe values on some indices: the inlet and outlet
+pressures, and the supports.  ``Pattern.reduction`` builds one ``Reduction``
+per array of fixed indices and keeps it.  It holds the sorted fixed and free
+indices and the index gathers that take M_ff and M_fd out of the ``data`` of
+any matrix on the pattern in canonical CSC form; it forms the reduced
+right-hand side b_f - M_fd v and scatters a free solution back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import InvalidArgumentError
 from .honeymesh import _wachspress, hex_quadrature
 
 
@@ -52,21 +57,6 @@ def stiffness_kernel(weights, grads, nu, thickness):
 def _read_only(*arrays):
     for arr in arrays:
         arr.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class Gather:
-    """A block of every matrix on one pattern: canonical CSC ``indptr`` and
-    ``indices``, filled by ``data[take]`` of the full matrix."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    take: np.ndarray
-    shape: tuple
-
-    def __call__(self, matrix):
-        return sp.csc_matrix((matrix.data[self.take], self.indices,
-                              self.indptr), shape=self.shape)
 
 
 class Pattern:
@@ -97,8 +87,7 @@ class Pattern:
         self.slot = pos.reshape(-1, br, bc)[node_slot].transpose(
             0, 1, 3, 2, 4).ravel()
         _read_only(self.indptr, self.indices, self.slot)
-        # per boundary-condition set: the solvers' index sets and gathers
-        self.bc_cache = {}
+        self._reductions = {}
 
     def assemble(self, values):
         """CSR matrix on this pattern from element blocks in element order."""
@@ -107,31 +96,86 @@ class Pattern:
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
 
-    def holds(self, matrix):
-        """Whether ``matrix`` was assembled on this pattern (scipy keeps the
-        pattern's ``indptr`` itself and a view of its ``indices``)."""
-        return matrix.indptr is self.indptr
+    def reduction(self, fixed) -> Reduction:
+        """The ``Reduction`` for the fixed indices ``fixed`` of a square
+        pattern, built on the first call for this array and kept."""
+        fixed = np.asarray(fixed, dtype=np.int64)
+        key = fixed.tobytes()
+        if key not in self._reductions:
+            self._reductions[key] = Reduction(self, fixed)
+        return self._reductions[key]
 
-    def gather(self, rows, cols) -> Gather:
-        """The block M[rows][:, cols] of any M on this pattern; ``rows`` and
-        ``cols`` are sorted and unique."""
-        n_rows, n_cols = self.shape
-        new_row = np.full(n_rows, -1)
-        new_row[rows] = np.arange(rows.size)
-        new_col = np.full(n_cols, -1)
-        new_col[cols] = np.arange(cols.size)
-        entry_row = np.repeat(new_row, np.diff(self.indptr))
-        entry_col = new_col[self.indices]
-        keep = np.flatnonzero((entry_row >= 0) & (entry_col >= 0))
-        counts = np.bincount(entry_row[keep], minlength=rows.size)
-        # the block in CSR order, holding each entry's slot; tocsc is a
-        # counting sort by column that keeps the rows of a column sorted
-        block = sp.csr_matrix(
-            (keep, entry_col[keep], np.append(0, np.cumsum(counts))),
-            shape=(rows.size, cols.size),
-        ).tocsc()
-        _read_only(block.indptr, block.indices, block.data)
-        return Gather(block.indptr, block.indices, block.data, block.shape)
+
+class Reduction:
+    """M x = b with x = v prescribed on the fixed indices, reduced to
+    M_ff x_f = b_f - M_fd v, for any matrix M on one square pattern.
+
+    ``fixed`` is sorted and ``order`` is the permutation that sorted it, so
+    the value passed with the i-th fixed index stays on that index; ``free``
+    is the sorted rest.
+    """
+
+    def __init__(self, pattern, fixed):
+        n = pattern.shape[0]
+        self.order = np.argsort(fixed, kind="stable")
+        self.fixed = fixed[self.order]
+        if self.fixed.size and (self.fixed[0] < 0 or self.fixed[-1] >= n):
+            raise InvalidArgumentError(f"fixed index out of range [0, {n})")
+        if np.any(self.fixed[1:] == self.fixed[:-1]):
+            raise InvalidArgumentError("a fixed index is listed twice")
+        self.free = np.setdiff1d(np.arange(n), self.fixed, assume_unique=True)
+        self._indptr = pattern.indptr
+        # the free rows in CSR order, each entry holding its slot; indices
+        # are numbered free first, then fixed, so index i is free when
+        # col[i] < nf.  tocsc is a counting sort by column that keeps the
+        # rows of a column sorted
+        nf = self.free.size
+        col = np.empty(n, dtype=np.int64)
+        col[np.concatenate([self.free, self.fixed])] = np.arange(n)
+        lengths = np.diff(pattern.indptr)
+        keep = np.flatnonzero(np.repeat(col < nf, lengths))
+        slots = sp.csr_matrix(
+            (keep, col[pattern.indices[keep]],
+             np.append(0, np.cumsum(lengths[self.free]))),
+            shape=(nf, n)).tocsc()
+        self._slots = slots[:, :nf], slots[:, nf:]
+        _read_only(self.order, self.fixed, self.free, *(
+            a for s in self._slots for a in (s.indptr, s.indices, s.data)))
+
+    def blocks(self, matrix):
+        """M_ff and M_fd of ``matrix`` in canonical CSC form; ``matrix`` must
+        be assembled on this pattern (scipy keeps the pattern's ``indptr``)."""
+        if matrix.indptr is not self._indptr:
+            raise InvalidArgumentError("matrix was not assembled on this mesh")
+        return tuple(sp.csc_matrix((matrix.data[s.data], s.indices, s.indptr),
+                                   shape=s.shape) for s in self._slots)
+
+    def reduce(self, matrix, values=None, b=None):
+        """(M_ff, b_f - M_fd v) for ``matrix`` assembled on this pattern.
+
+        ``values`` are paired with the fixed indices in the order they were
+        passed, zero by default; ``b`` defaults to zero.
+        """
+        m_ff, m_fd = self.blocks(matrix)
+        if values is None:
+            v = np.zeros(self.fixed.size)
+        else:
+            v = np.asarray(values, dtype=float)
+            if v.shape != self.fixed.shape:
+                raise InvalidArgumentError(f"{v.size} fixed values for "
+                                           f"{self.fixed.size} fixed indices")
+            v = v[self.order]
+        rhs = -(m_fd @ v) if b is None else b[self.free] - m_fd @ v
+        return m_ff, rhs
+
+    def expand(self, x_free, values=None):
+        """Full vector: ``x_free`` on the free indices, ``values`` (paired as
+        in ``reduce``, zero by default) on the fixed ones."""
+        out = np.zeros(self.free.size + self.fixed.size)
+        if values is not None:
+            out[self.fixed] = np.asarray(values, dtype=float)[self.order]
+        out[self.free] = x_free
+        return out
 
 
 class MeshIntegrals:

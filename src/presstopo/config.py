@@ -159,7 +159,8 @@ def load_config(path) -> ProblemConfig:
 
     ``path`` may also name a shipped benchmark ('arch-2mat', 'piston-2mat',
     'arch-3mat', 'piston-3mat').  Options it does not read are rejected, so
-    a misspelt option is an error, not a silent default.
+    a misspelt option is an error, not a silent default; so is a non-finite
+    number (``nan``, ``inf``).
     """
     path = Path(path)
     if not path.exists():
@@ -187,7 +188,10 @@ def load_config(path) -> ProblemConfig:
         try:
             if cast is bool:
                 return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            value = cast(raw)
+            if cast in (float, _parse_floats) and not np.isfinite(value).all():
+                raise ConfigError("must be finite")
+            return value
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"[{section}] {option} = {raw!r}: {exc}") from exc
 

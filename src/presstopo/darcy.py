@@ -11,11 +11,12 @@ flow matrix A and the design-independent transformation matrix T
 (``assemble_flow(mesh, design, params) -> (A, T)``).  A is one
 ``np.bincount`` of the scaled element templates into the mesh's fixed flow
 pattern; T is built once per mesh and thickness and then reused.
-``solve_pressure(A, T, mesh, pressure_bc)`` takes A_ff and A_fd out of A's
-``data`` by an index gather built once per set of Dirichlet edges, solves
-A p = 0 under the Dirichlet pressures and returns a frozen ``PressureState``
-holding A, T, p and the factorization; ``pressure_loads(T, p)`` gives the
-consistent nodal loads F = -T p.
+``solve_pressure(A, T, mesh, pressure_bc)`` maps the named edges to their
+nodes, reduces A p = 0 to the free nodes through the flow pattern's
+``Reduction`` for those nodes (built once per set of edges), solves it and
+returns a frozen ``PressureState`` holding A, T, p, the reduction and the
+factorization; ``pressure_loads(T, p)`` gives the consistent nodal loads
+F = -T p.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._element_data import mesh_integrals
+from ._element_data import Reduction, mesh_integrals
 from .errors import IllPosedError, InvalidArgumentError, SolverError
 
 _RESIDUAL_TOL = 1e-10
@@ -135,7 +136,7 @@ class PressureState:
     A: sp.csr_matrix
     T: sp.csr_matrix
     p: np.ndarray
-    free_nodes: np.ndarray
+    reduction: Reduction
     lu_solve: object = field(repr=False)
 
     def adjoint_solve(self, rhs):
@@ -143,9 +144,7 @@ class PressureState:
 
         Reuses the factorization of the state solve (A is symmetric).
         """
-        lam = np.zeros(self.A.shape[0])
-        lam[self.free_nodes] = self.lu_solve(rhs[self.free_nodes])
-        return lam
+        return self.reduction.expand(self.lu_solve(rhs[self.reduction.free]))
 
 
 def assemble_flow(mesh, design, params: FlowParams):
@@ -165,9 +164,14 @@ def assemble_flow(mesh, design, params: FlowParams):
     return a, data.load_matrix(design.thickness)
 
 
-def _dirichlet_split(pattern, mesh, pressure_bc):
-    """Sorted Dirichlet nodes, the index in ``pressure_bc`` of each one's
-    edge, the free nodes, and the A_ff and A_fd gathers."""
+def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
+    """Impose Dirichlet pressures on named boundary edges and solve A p = 0.
+
+    ``pressure_bc`` maps edge names ('top', 'bottom', 'left', 'right') to
+    pressure values in Pa; ``A`` comes from ``assemble_flow`` on ``mesh``.
+    Returns the solved ``PressureState``, which keeps the factorization for
+    adjoint reuse.
+    """
     node_sets = []
     for edge in pressure_bc:
         if edge not in mesh.boundary_node_sets:
@@ -177,60 +181,29 @@ def _dirichlet_split(pattern, mesh, pressure_bc):
         raise IllPosedError("no Dirichlet pressure nodes; pressure field is "
                             "determined only up to a constant")
     # the four boundary node sets of a honeycomb are pairwise disjoint
-    dirichlet = np.concatenate(node_sets)
-    edge = np.repeat(np.arange(len(node_sets)),
-                     [nodes.size for nodes in node_sets])
-    order = np.argsort(dirichlet)
-    dirichlet, edge = dirichlet[order], edge[order]
-    free = np.setdiff1d(np.arange(pattern.shape[0]), dirichlet,
-                        assume_unique=True)
-    free.flags.writeable = False
-    return (dirichlet, edge, free, pattern.gather(free, free),
-            pattern.gather(free, dirichlet))
-
-
-def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
-    """Impose Dirichlet pressures on named boundary edges and solve A p = 0.
-
-    ``pressure_bc`` maps edge names ('top', 'bottom', 'left', 'right') to
-    pressure values in Pa; ``A`` comes from ``assemble_flow`` on ``mesh``.
-    Returns the solved ``PressureState``, which keeps the factorization for
-    adjoint reuse.  The node sets and the A_ff / A_fd gathers are built once
-    per mesh and set of edges.
-    """
-    pattern = mesh_integrals(mesh).flow_pattern
-    if not pattern.holds(A):
-        raise InvalidArgumentError("A was not assembled on this mesh")
-    key = tuple(pressure_bc)
-    if key not in pattern.bc_cache:
-        pattern.bc_cache[key] = _dirichlet_split(pattern, mesh, pressure_bc)
-    dirichlet, edge, free, ff, fd = pattern.bc_cache[key]
-    dvals = np.array(list(pressure_bc.values()), dtype=float)[edge]
-
-    n = A.shape[0]
-    a_ff = ff(A)
-    rhs = -(fd(A) @ dvals)
+    reduction = mesh_integrals(mesh).flow_pattern.reduction(
+        np.concatenate(node_sets))
+    values = np.repeat(np.array(list(pressure_bc.values()), dtype=float),
+                       [nodes.size for nodes in node_sets])
+    a_ff, rhs = reduction.reduce(A, values)
     try:
         lu = spla.splu(a_ff, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
-        zero_rows = free[np.asarray(abs(a_ff).sum(axis=1)).ravel() == 0.0]
+        zero = np.asarray(abs(a_ff).sum(axis=1)).ravel() == 0.0
         raise SolverError(
             f"flow matrix is singular after applying boundary conditions; "
-            f"disconnected nodes: {zero_rows.tolist()[:20]}"
+            f"disconnected nodes: {reduction.free[zero].tolist()[:20]}"
         ) from exc
+    p = reduction.expand(lu.solve(rhs), values)
 
-    p = np.zeros(n)
-    p[dirichlet] = dvals
-    p[free] = lu.solve(rhs)
-
-    residual = np.linalg.norm((A @ p)[free])
+    residual = np.linalg.norm((A @ p)[reduction.free])
     denom = spla.norm(A) * np.linalg.norm(p)
     if denom > 0 and residual / denom > _RESIDUAL_TOL:
         raise SolverError(
             f"pressure solve residual {residual / denom:.3e} exceeds "
             f"{_RESIDUAL_TOL:.1e}"
         )
-    return PressureState(A=A, T=T, p=p, free_nodes=free, lu_solve=lu.solve)
+    return PressureState(A=A, T=T, p=p, reduction=reduction, lu_solve=lu.solve)
 
 
 def pressure_loads(T, p):

@@ -3,9 +3,10 @@
 ``assemble_stiffness(mesh, design, materials)`` scales the one unit-modulus
 element template by each element's interpolated modulus and sums the
 entries into the mesh's fixed stiffness pattern with one ``np.bincount``.
-``solve_displacements(K, F, mesh, fixed_dofs)`` takes K_ff and K_fd out of
-K's ``data`` by an index gather built once per set of supports, factors K_ff
-with SuperLU and checks the residual on the free DOFs.
+``solve_displacements(K, F, mesh, fixed_dofs)`` reduces K u = F to the free
+DOFs through the stiffness pattern's ``Reduction`` for the supports (built
+once per set of supports), factors K_ff with SuperLU and checks the residual
+on the free DOFs.
 """
 
 from __future__ import annotations
@@ -63,46 +64,23 @@ def assemble_stiffness(mesh, design, materials):
                                                materials.thickness))
 
 
-def _support_split(pattern, fixed_dofs):
-    """Sorted fixed DOFs, the free DOFs and the K_ff and K_fd gathers."""
-    fixed = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
-    if fixed.size < 3:
+def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
+    """Solve K u = F with Dirichlet DOFs eliminated; return (u, compliance).
+
+    ``K`` comes from ``assemble_stiffness`` on ``mesh``.  ``fixed_values[i]``
+    is prescribed on ``fixed_dofs[i]``, in the order the DOFs are passed, and
+    defaults to homogeneous supports; a DOF listed twice is rejected.  The
+    reduced system is solved by sparse LU; the residual on the free DOFs must
+    satisfy ||K u - F|| / ||F|| < 1e-9.
+    """
+    if np.size(fixed_dofs) < 3:
         raise SingularSystemError(
             "fewer than three constrained DOFs cannot remove the rigid-body "
             "modes (two translations and one rotation)"
         )
-    free = np.setdiff1d(np.arange(pattern.shape[0]), fixed, assume_unique=True)
-    fixed.flags.writeable = free.flags.writeable = False
-    return fixed, free, pattern.gather(free, free), pattern.gather(free, fixed)
-
-
-def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
-    """Solve K u = F with Dirichlet DOFs eliminated; return (u, compliance).
-
-    ``K`` comes from ``assemble_stiffness`` on ``mesh``.  ``fixed_values``
-    defaults to homogeneous supports.  The reduced system is solved by sparse
-    LU; the residual on the free DOFs must satisfy ||K u - F|| / ||F|| < 1e-9.
-    The DOF sets and the K_ff / K_fd gathers are built once per mesh and set
-    of supports.
-    """
     F = np.asarray(F, dtype=float)
-    pattern = mesh_integrals(mesh).stiffness_pattern
-    if not pattern.holds(K):
-        raise InvalidArgumentError("K was not assembled on this mesh")
-    key = np.asarray(fixed_dofs, dtype=np.int64).tobytes()
-    if key not in pattern.bc_cache:
-        pattern.bc_cache[key] = _support_split(pattern, fixed_dofs)
-    fixed, free, ff, fd = pattern.bc_cache[key]
-    ndof = K.shape[0]
-    if fixed_values is None:
-        fvals = np.zeros(fixed.size)
-    else:
-        fvals = np.asarray(fixed_values, dtype=float)
-        if fvals.shape != fixed.shape:
-            raise InvalidArgumentError("fixed_values length mismatch")
-
-    k_ff = ff(K)
-    rhs = F[free] - fd(K) @ fvals
+    reduction = mesh_integrals(mesh).stiffness_pattern.reduction(fixed_dofs)
+    k_ff, rhs = reduction.reduce(K, fixed_values, F)
     try:
         lu = spla.splu(k_ff, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -110,17 +88,16 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
             f"stiffness matrix is singular; {_describe_rigid_mode(k_ff)}"
         ) from exc
 
-    u = np.zeros(ndof)
-    u[fixed] = fvals
-    u[free] = lu.solve(rhs)
-    if not np.all(np.isfinite(u)):
+    u_free = lu.solve(rhs)
+    if not np.all(np.isfinite(u_free)):
         raise SingularSystemError(
             f"stiffness solve produced non-finite values; "
             f"{_describe_rigid_mode(k_ff)}"
         )
+    u = reduction.expand(u_free, fixed_values)
 
-    fnorm = np.linalg.norm(F[free]) or np.linalg.norm(rhs) or 1.0
-    residual = np.linalg.norm(k_ff @ u[free] - rhs) / fnorm
+    fnorm = np.linalg.norm(F[reduction.free]) or np.linalg.norm(rhs) or 1.0
+    residual = np.linalg.norm(k_ff @ u_free - rhs) / fnorm
     if residual > _RESIDUAL_TOL:
         raise SolverError(
             f"displacement solve residual {residual:.3e} exceeds "

@@ -202,12 +202,9 @@ class DesignField:
         return self.raw.shape[1]
 
 
-def interpolate_modulus(design, materials: MaterialSet):
-    """Interpolated Young's modulus for filtered design rows.
-
-    Accepts one row (m,) or a matrix (n, m); returns a scalar or (n,) array in
-    [e_min, max modulus].
-    """
+def _nested_moduli(design, materials: MaterialSet):
+    """Checked rows (n, m), whether one row was given, rho^p, and nested[j],
+    the modulus selected by variables j.. (nested[1] excludes the void)."""
     rho = _check_unit_range(design, "filtered design")
     single = rho.ndim == 1
     rho = np.atleast_2d(rho)
@@ -217,14 +214,24 @@ def interpolate_modulus(design, materials: MaterialSet):
             f"design has {m} variables but material set has "
             f"{materials.n_materials} candidates"
         )
-    p = materials.penalty
     e = materials.e_moduli
-    rp = rho**p
+    rp = rho**materials.penalty
     # innermost pair first: selection between the two stiffest candidates
-    inner = np.full(rho.shape[0], e[-1])
+    nested = [None] * (m + 1)
+    nested[m] = np.full(rho.shape[0], e[-1])
     for j in range(m - 1, 0, -1):
-        inner = (1.0 - rp[:, j]) * e[j - 1] + rp[:, j] * inner
-    out = (1.0 - rp[:, 0]) * materials.e_min + rp[:, 0] * inner
+        nested[j] = (1.0 - rp[:, j]) * e[j - 1] + rp[:, j] * nested[j + 1]
+    return rho, single, rp, nested
+
+
+def interpolate_modulus(design, materials: MaterialSet):
+    """Interpolated Young's modulus for filtered design rows.
+
+    Accepts one row (m,) or a matrix (n, m); returns a scalar or (n,) array in
+    [e_min, max modulus].
+    """
+    _, single, rp, nested = _nested_moduli(design, materials)
+    out = (1.0 - rp[:, 0]) * materials.e_min + rp[:, 0] * nested[1]
     return float(out[0]) if single else out
 
 
@@ -233,29 +240,14 @@ def modulus_derivatives(design, materials: MaterialSet):
 
     Same input conventions; returns (m,) or (n, m).
     """
-    rho = _check_unit_range(design, "filtered design")
-    single = rho.ndim == 1
-    rho = np.atleast_2d(rho)
-    m = rho.shape[1]
-    if m != materials.n_materials:
-        raise InvalidArgumentError(
-            f"design has {m} variables but material set has "
-            f"{materials.n_materials} candidates"
-        )
+    rho, single, rp, nested = _nested_moduli(design, materials)
     p = materials.penalty
     e = materials.e_moduli
-    rp = rho**p
     dr = p * rho ** (p - 1.0)
-
-    # nested[j]: modulus selected by variables j.. (nested[0] excludes void)
-    nested = [None] * (m + 1)
-    nested[m] = np.full(rho.shape[0], e[-1])
-    for j in range(m - 1, 0, -1):
-        nested[j] = (1.0 - rp[:, j]) * e[j - 1] + rp[:, j] * nested[j + 1]
     out = np.empty_like(rho)
     out[:, 0] = dr[:, 0] * (nested[1] - materials.e_min)
     prefix = rp[:, 0].copy()
-    for j in range(1, m):
+    for j in range(1, rho.shape[1]):
         out[:, j] = prefix * dr[:, j] * (nested[j + 1] - e[j - 1])
         prefix = prefix * rp[:, j]
     return out[0] if single else out

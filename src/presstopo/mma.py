@@ -1,4 +1,4 @@
-"""Method of Moving Asymptotes for box-bounded designs with few constraints.
+"""Method of Moving Asymptotes for unit-box designs with few constraints.
 
 Each update builds the separable rational MMA approximation about adaptive
 asymptotes and solves it through its dual: for fixed multipliers the primal
@@ -18,14 +18,14 @@ import numpy as np
 from .errors import InvalidArgumentError, OptimizerError
 
 _ALBEFA = 0.1          # keep bounds strictly inside the asymptotes
-_ASYMPTOTE_INIT = 0.5  # first two spans, relative to variable range
+_ASYMPTOTE_INIT = 0.5  # first two spans
 _ASYMPTOTE_INCR = 1.2  # widen on monotone progress
 _ASYMPTOTE_DECR = 0.7  # shrink on oscillation
 _PENALTY = 1000.0      # weight of the elastic constraint slack
 _DUAL_TOL = 1e-9       # KKT residual the dual Newton solve must reach
 _GRAD_REG = 0.001      # fraction of |grad| mirrored to the opposite branch
-_CURV_REG = 1e-3       # absolute curvature floor (per unit variable range)
-_SPAN_MIN = 1e-8       # asymptote span clamps, relative to variable range
+_CURV_REG = 1e-3       # absolute curvature floor
+_SPAN_MIN = 1e-8       # asymptote span clamps
 _SPAN_MAX = 10.0
 _DUAL_MAX_ITER = 500
 _BOUND_TOL = 1e-12
@@ -35,8 +35,7 @@ _BOUND_TOL = 1e-12
 class MmaState:
     """Optimizer state carried across iterations."""
 
-    lower: np.ndarray
-    upper: np.ndarray
+    n_variables: int
     move_limit: float = 0.1
     iteration: int = 0
     lower_asymptotes: np.ndarray | None = None
@@ -49,7 +48,7 @@ class MmaState:
     @classmethod
     def for_variables(cls, n, move_limit=0.1):
         """State for n variables in the unit box."""
-        return cls(lower=np.zeros(n), upper=np.ones(n), move_limit=move_limit)
+        return cls(n_variables=n, move_limit=move_limit)
 
 
 def mma_update(x, f0, df0, g, dg, state: MmaState):
@@ -72,9 +71,9 @@ def mma_update(x, f0, df0, g, dg, state: MmaState):
                         ("constraint values", g), ("constraint gradients", dg)):
         if not np.all(np.isfinite(value)):
             raise InvalidArgumentError(f"{name} must be finite")
-    if state.lower.shape != (n,):
+    if state.n_variables != n:
         raise InvalidArgumentError("state dimension does not match x")
-    if np.any(x < state.lower - _BOUND_TOL) or np.any(x > state.upper + _BOUND_TOL):
+    if np.any(x < -_BOUND_TOL) or np.any(x > 1.0 + _BOUND_TOL):
         raise InvalidArgumentError("x violates the variable bounds")
     for i in range(m):
         if g[i] > 0 and not np.any(dg[i]):
@@ -83,11 +82,10 @@ def mma_update(x, f0, df0, g, dg, state: MmaState):
                 "gradient; the subproblem is infeasible"
             )
 
-    rng = state.upper - state.lower
     it = state.iteration + 1
     if it <= 2 or state.x_prev is None or state.x_prev2 is None:
-        low = x - _ASYMPTOTE_INIT * rng
-        upp = x + _ASYMPTOTE_INIT * rng
+        low = x - _ASYMPTOTE_INIT
+        upp = x + _ASYMPTOTE_INIT
     else:
         osc = (x - state.x_prev) * (state.x_prev - state.x_prev2)
         factor = np.ones(n)
@@ -95,21 +93,20 @@ def mma_update(x, f0, df0, g, dg, state: MmaState):
         factor[osc < 0] = _ASYMPTOTE_DECR
         low = x - factor * (state.x_prev - state.lower_asymptotes)
         upp = x + factor * (state.upper_asymptotes - state.x_prev)
-        low = np.clip(low, x - _SPAN_MAX * rng, x - _SPAN_MIN * rng)
-        upp = np.clip(upp, x + _SPAN_MIN * rng, x + _SPAN_MAX * rng)
+        low = np.clip(low, x - _SPAN_MAX, x - _SPAN_MIN)
+        upp = np.clip(upp, x + _SPAN_MIN, x + _SPAN_MAX)
 
-    move = state.move_limit * rng
-    alfa = np.maximum.reduce([state.lower, low + _ALBEFA * (x - low), x - move])
-    beta = np.minimum.reduce([state.upper, upp - _ALBEFA * (upp - x), x + move])
+    move = state.move_limit
+    alfa = np.maximum(np.maximum(0.0, low + _ALBEFA * (x - low)), x - move)
+    beta = np.minimum(np.minimum(1.0, upp - _ALBEFA * (upp - x)), x + move)
 
     ux = upp - x
     xl = x - low
-    scale = np.maximum(rng, 1e-12)
-    reg0 = _GRAD_REG * np.abs(df0) + _CURV_REG / scale
+    reg0 = _GRAD_REG * np.abs(df0) + _CURV_REG
     p0 = ux**2 * (np.maximum(df0, 0.0) + reg0)
     q0 = xl**2 * (np.maximum(-df0, 0.0) + reg0)
     if m:
-        regc = _GRAD_REG * np.abs(dg) + (_CURV_REG / scale)[None, :]
+        regc = _GRAD_REG * np.abs(dg) + _CURV_REG
         pc = ux[None, :] ** 2 * (np.maximum(dg, 0.0) + regc)
         qc = xl[None, :] ** 2 * (np.maximum(-dg, 0.0) + regc)
         b = pc @ (1.0 / ux) + qc @ (1.0 / xl) - g
@@ -121,11 +118,8 @@ def mma_update(x, f0, df0, g, dg, state: MmaState):
         x_new = _primal_minimizer(p0, q0, low, upp, alfa, beta)
         kkt = 0.0
 
-    x_new = np.clip(
-        x_new,
-        np.maximum(state.lower, x - move),
-        np.minimum(state.upper, x + move),
-    )
+    x_new = np.clip(x_new, np.maximum(0.0, x - move),
+                    np.minimum(1.0, x + move))
     state.last_kkt_residual = kkt
     state.lower_asymptotes = low
     state.upper_asymptotes = upp

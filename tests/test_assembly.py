@@ -1,7 +1,8 @@
-"""Scatter assembly into the fixed per-mesh patterns, and the gathered blocks.
+"""Scatter assembly into the fixed per-mesh patterns, and the Dirichlet
+reductions.
 
 The oracle assembles every element matrix into a dense array one element at
-a time; the gathered free blocks are compared with dense slicing.
+a time; the reductions' free blocks are compared with dense slicing.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from presstopo import (
     solve_displacements,
     solve_pressure,
 )
+from presstopo import _element_data
 from presstopo._element_data import mesh_integrals
 from presstopo.darcy import drainage_coefficient, flow_coefficient
 from presstopo.fields import interpolate_modulus
@@ -58,14 +60,14 @@ def problems(draw):
     fixed = np.sort(rng.choice(ndof, size=n_fixed, replace=False))
     edges = draw(st.lists(st.sampled_from(EDGES), min_size=1, max_size=4,
                           unique=True))
-    return mesh, design, fixed, edges
+    return mesh, design, fixed, edges, rng
 
 
 class TestScatterAssembly:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(problems())
     def test_matches_dense_oracle_and_gathers(self, problem):
-        mesh, design, fixed, edges = problem
+        mesh, design, fixed, edges, rng = problem
         data = mesh_integrals(mesh)
         k = assemble_stiffness(mesh, design, MATS)
         a, t = assemble_flow(mesh, design, FLOW)
@@ -91,17 +93,33 @@ class TestScatterAssembly:
         dirichlet = np.unique(np.concatenate(
             [mesh.boundary_node_sets[edge] for edge in edges]))
         free_nodes = np.setdiff1d(np.arange(a.shape[0]), dirichlet)
-        blocks = [
-            (data.stiffness_pattern, k, free, free),
+        reductions = [
             (data.stiffness_pattern, k, free, fixed),
-            (data.flow_pattern, a, free_nodes, free_nodes),
             (data.flow_pattern, a, free_nodes, dirichlet),
         ]
-        for pattern, matrix, rows, cols in blocks:
-            block = pattern.gather(rows, cols)(matrix)
-            assert_canonical_csc(block)
-            assert np.array_equal(block.toarray(),
-                                  matrix.toarray()[rows][:, cols])
+        for pattern, matrix, rows, cols in reductions:
+            reduction = pattern.reduction(cols)
+            assert np.array_equal(reduction.free, rows)
+            for block, want in zip(reduction.blocks(matrix), (rows, cols)):
+                assert_canonical_csc(block)
+                assert np.array_equal(block.toarray(),
+                                      matrix.toarray()[rows][:, want])
+
+        # the values travel with their DOFs, in whatever order they come;
+        # the bottom edge removes the rigid modes.  No load: the residual
+        # check is relative to ||F_free||, which O(1) loads beside O(1)
+        # prescribed displacements would make fail
+        bottom = mesh.boundary_node_sets["bottom"]
+        supports = np.union1d(fixed, np.concatenate([2 * bottom,
+                                                     2 * bottom + 1]))
+        values = rng.normal(size=supports.size)
+        perm = rng.permutation(supports.size)
+        f = np.zeros(k.shape[0])
+        u = solve_displacements(k, f, mesh, supports, values)[0]
+        assert np.array_equal(u[supports], values)
+        permuted = solve_displacements(k, f, mesh, supports[perm],
+                                       values[perm])[0]
+        assert np.array_equal(permuted, u)
 
 
 class TestPatternsBuiltOnce:
@@ -128,15 +146,24 @@ class TestPatternsBuiltOnce:
         assert np.allclose(t3.toarray(), 2.0 * t1.toarray(), rtol=1e-15,
                            atol=0.0)
 
-    def test_gathers_built_once_per_boundary_set(self):
+    def test_gathers_built_once_per_boundary_set(self, monkeypatch):
+        built = []
+
+        class Counted(_element_data.Reduction):
+            def __init__(self, pattern, fixed):
+                built.append(pattern)
+                super().__init__(pattern, fixed)
+
+        monkeypatch.setattr(_element_data, "Reduction", Counted)
         mesh = generate_mesh(4, 3, 0.4, 0.3)
         design = make_uniform_design(mesh, [0.6, 0.5])
         bc = {"top": 1e5, "bottom": 0.0}
         s1 = solve_pressure(*assemble_flow(mesh, design, FLOW), mesh, bc)
         s2 = solve_pressure(*assemble_flow(mesh, design, FLOW), mesh,
                             {"top": 2e5, "bottom": 0.0})
-        assert s1.free_nodes is s2.free_nodes
-        assert len(mesh_integrals(mesh).flow_pattern.bc_cache) == 1
+        assert s1.reduction is s2.reduction
+        assert s1.reduction.free is s2.reduction.free
+        assert built == [mesh_integrals(mesh).flow_pattern]
         assert np.allclose(s2.p, 2.0 * s1.p, rtol=1e-12, atol=0.0)
 
         bottom = mesh.boundary_node_sets["bottom"]
@@ -146,7 +173,7 @@ class TestPatternsBuiltOnce:
         f[2 * mesh.boundary_node_sets["top"] + 1] = -1.0
         for _ in range(2):
             solve_displacements(k, f, mesh, fixed)
-        assert len(mesh_integrals(mesh).stiffness_pattern.bc_cache) == 1
+        assert built[1:] == [mesh_integrals(mesh).stiffness_pattern]
 
     def test_matrix_of_another_mesh_rejected(self):
         mesh = generate_mesh(4, 3, 0.4, 0.3)
@@ -159,3 +186,7 @@ class TestPatternsBuiltOnce:
         a, t = assemble_flow(other, design, FLOW)
         with pytest.raises(InvalidArgumentError):
             solve_pressure(a, t, mesh, {"top": 1e5})
+        reduction = mesh_integrals(mesh).stiffness_pattern.reduction(
+            np.arange(6))
+        with pytest.raises(InvalidArgumentError):
+            reduction.blocks(k)

@@ -70,6 +70,24 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
         assert "[optimizer] max_iteration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("[optimizer]", "[pressure]\ninlet_value = nan\n\n[optimizer]",
+         "[pressure] inlet_value"),
+        ("[optimizer]", "[pressure]\ninlet_value = inf\n\n[optimizer]",
+         "[pressure] inlet_value"),
+        ("lx = 0.2", "lx = inf", "[domain] lx"),
+        ("young_moduli = 40e6 100e6", "young_moduli = 40e6 100e6\n"
+         "thickness = nan", "[materials] thickness"),
+        ("fractions = 0.1 0.1", "fractions = 0.1 nan", "[volume] fractions"),
+    ], ids=["inlet_nan", "inlet_inf", "lx_inf", "thickness_nan",
+            "fractions_nan"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, old, new,
+                                        named):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG.replace(old, new))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
     def test_builtin_names_resolve(self):
         assert set(builtin_config_names()) == {
             "arch-2mat", "arch-3mat", "piston-2mat", "piston-3mat"}

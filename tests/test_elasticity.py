@@ -202,6 +202,22 @@ class TestSolveDisplacements:
             solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4,
                                 np.array([0, 1]))
 
+    def test_fixed_values_follow_unsorted_dofs(self, mesh_5x4):
+        k, _ = self._system(mesh_5x4)
+        bottom = mesh_5x4.boundary_node_sets["bottom"]
+        fixed = np.concatenate([2 * bottom, 2 * bottom + 1])
+        values = np.arange(fixed.size, dtype=float)
+        u, _ = solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4, fixed,
+                                   values)
+        assert np.abs(u[fixed] - values).max() == 0.0
+
+    def test_repeated_or_out_of_range_dof_rejected(self, mesh_5x4):
+        k, fixed = self._system(mesh_5x4)
+        for extra in (fixed[0], -1, k.shape[0]):
+            with pytest.raises(InvalidArgumentError):
+                solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4,
+                                    np.append(fixed, extra))
+
     def test_residual_tolerance(self, mesh_5x4):
         k, fixed = self._system(mesh_5x4, rho=(0.4, 0.6))
         rng = np.random.default_rng(3)
