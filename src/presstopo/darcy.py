@@ -13,10 +13,11 @@ flow matrix A and the design-independent transformation matrix T
 pattern; T is built once per mesh and thickness and then reused.
 ``solve_pressure(A, T, mesh, pressure_bc)`` maps the named edges to their
 nodes, reduces A p = 0 to the free nodes through the flow pattern's
-``Reduction`` for those nodes (built once per set of edges), solves it and
-returns a frozen ``PressureState`` holding A, T, p, the reduction and the
-factorization; ``pressure_loads(T, p)`` gives the consistent nodal loads
-F = -T p.
+``Reduction`` for those nodes (built once per set of edges), solves it with
+the reduction's float32 factor refined in float64 and returns a frozen
+``PressureState`` holding A, T, p, the reduction and the refined solve,
+which the flow adjoint reuses; ``pressure_loads(T, p)`` gives the consistent
+nodal loads F = -T p.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ def penetration_drainage(params: FlowParams, element_height,
 @dataclass(frozen=True)
 class PressureState:
     """Flow matrix A, transformation T and the field p from ``solve_pressure``;
-    ``lu_solve`` is the free-free LU solve of A, reused by the adjoint.
+    ``lu_solve`` is the refined solve with the factor of A_ff
+    (``_element_data.MixedLU``), reused by the adjoint.
     """
 
     A: sp.csr_matrix
@@ -144,7 +146,7 @@ class PressureState:
 
         Reuses the factorization of the state solve (A is symmetric).
         """
-        return self.reduction.expand(self.lu_solve(rhs[self.reduction.free]))
+        return self.reduction.expand(self.lu_solve(rhs[self.reduction.rows]))
 
 
 def assemble_flow(mesh, design, params: FlowParams):
@@ -185,16 +187,18 @@ def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
         np.concatenate(node_sets))
     values = np.repeat(np.array(list(pressure_bc.values()), dtype=float),
                        [nodes.size for nodes in node_sets])
-    a_ff, rhs = reduction.reduce(A, values)
     try:
-        lu = spla.splu(a_ff, permc_spec="MMD_AT_PLUS_A")
+        lu = reduction.factor(A, _RESIDUAL_TOL)
+        p = reduction.expand(lu(reduction.reduce(A, values)), values)
     except RuntimeError as exc:
+        a_ff = reduction.blocks(A)[0]
         zero = np.asarray(abs(a_ff).sum(axis=1)).ravel() == 0.0
         raise SolverError(
             f"flow matrix is singular after applying boundary conditions; "
-            f"disconnected nodes: {reduction.free[zero].tolist()[:20]}"
+            f"disconnected nodes: {np.sort(reduction.rows[zero]).tolist()[:20]}"
         ) from exc
-    p = reduction.expand(lu.solve(rhs), values)
+    if not np.all(np.isfinite(p)):
+        raise SolverError("pressure solve produced non-finite values")
 
     residual = np.linalg.norm((A @ p)[reduction.free])
     denom = spla.norm(A) * np.linalg.norm(p)
@@ -203,7 +207,7 @@ def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
             f"pressure solve residual {residual / denom:.3e} exceeds "
             f"{_RESIDUAL_TOL:.1e}"
         )
-    return PressureState(A=A, T=T, p=p, reduction=reduction, lu_solve=lu.solve)
+    return PressureState(A=A, T=T, p=p, reduction=reduction, lu_solve=lu)
 
 
 def pressure_loads(T, p):

@@ -5,8 +5,8 @@ element template by each element's interpolated modulus and sums the
 entries into the mesh's fixed stiffness pattern with one ``np.bincount``.
 ``solve_displacements(K, F, mesh, fixed_dofs)`` reduces K u = F to the free
 DOFs through the stiffness pattern's ``Reduction`` for the supports (built
-once per set of supports), factors K_ff with SuperLU and checks the residual
-on the free DOFs.
+once per set of supports), solves it with the reduction's float32 factor of
+K_ff refined in float64 and checks the residual on the free DOFs.
 """
 
 from __future__ import annotations
@@ -69,9 +69,11 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
 
     ``K`` comes from ``assemble_stiffness`` on ``mesh``.  ``fixed_values[i]``
     is prescribed on ``fixed_dofs[i]``, in the order the DOFs are passed, and
-    defaults to homogeneous supports; a DOF listed twice is rejected.  The
-    reduced system is solved by sparse LU; the residual on the free DOFs must
-    satisfy ||K u - F|| / ||F|| < 1e-9.
+    defaults to homogeneous supports; a DOF listed twice is rejected, and so
+    is a non-finite load or prescribed value.  The reduced system
+    K_ff u_f = F_f - K_fd v is solved by the refined sparse LU of the
+    stiffness pattern's ``Reduction``; its residual must satisfy
+    ||K_ff u_f - (F_f - K_fd v)|| / ||F_f - K_fd v|| < 1e-9.
     """
     if np.size(fixed_dofs) < 3:
         raise SingularSystemError(
@@ -79,25 +81,32 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
             "modes (two translations and one rotation)"
         )
     F = np.asarray(F, dtype=float)
+    if not np.all(np.isfinite(F)) or (
+            fixed_values is not None
+            and not np.all(np.isfinite(np.asarray(fixed_values, dtype=float)))):
+        raise InvalidArgumentError("load and prescribed displacements must "
+                                   "be finite")
     reduction = mesh_integrals(mesh).stiffness_pattern.reduction(fixed_dofs)
-    k_ff, rhs = reduction.reduce(K, fixed_values, F)
     try:
-        lu = spla.splu(k_ff, permc_spec="MMD_AT_PLUS_A")
+        lu = reduction.factor(K, _RESIDUAL_TOL)
+        rhs = reduction.reduce(K, fixed_values, F)
+        u_free = lu(rhs)
     except RuntimeError as exc:
         raise SingularSystemError(
-            f"stiffness matrix is singular; {_describe_rigid_mode(k_ff)}"
+            f"stiffness matrix is singular; "
+            f"{_describe_rigid_mode(reduction.blocks(K)[0], reduction.rows)}"
         ) from exc
-
-    u_free = lu.solve(rhs)
     if not np.all(np.isfinite(u_free)):
         raise SingularSystemError(
             f"stiffness solve produced non-finite values; "
-            f"{_describe_rigid_mode(k_ff)}"
+            f"{_describe_rigid_mode(lu.matrix, reduction.rows)}"
         )
     u = reduction.expand(u_free, fixed_values)
 
-    fnorm = np.linalg.norm(F[reduction.free]) or np.linalg.norm(rhs) or 1.0
-    residual = np.linalg.norm(k_ff @ u_free - rhs) / fnorm
+    # taken in the order of ``free``, so that with homogeneous supports it
+    # is ||F_free|| bit for bit
+    rnorm = np.linalg.norm(reduction.expand(rhs)[reduction.free]) or 1.0
+    residual = np.linalg.norm(lu.matrix @ u_free - rhs) / rnorm
     if residual > _RESIDUAL_TOL:
         raise SolverError(
             f"displacement solve residual {residual:.3e} exceeds "
@@ -107,8 +116,9 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
     return u, compliance
 
 
-def _describe_rigid_mode(k_ff):
-    """Best-effort identification of the unconstrained rigid mode."""
+def _describe_rigid_mode(k_ff, dofs):
+    """Best-effort identification of the unconstrained rigid mode; ``dofs``
+    are the interleaved DOF numbers of the rows of ``k_ff``."""
     try:
         n = k_ff.shape[0]
         if n > 20000:
@@ -117,8 +127,8 @@ def _describe_rigid_mode(k_ff):
         shift = -1e-9 * max(float(np.abs(k_ff.diagonal()).max()), 1.0)
         _, vecs = spla.eigsh(k_ff.tocsc(), k=1, sigma=shift, which="LM")
         mode = vecs[:, 0]
-        ux = np.linalg.norm(mode[0::2])
-        uy = np.linalg.norm(mode[1::2])
+        ux = np.linalg.norm(mode[dofs % 2 == 0])
+        uy = np.linalg.norm(mode[dofs % 2 == 1])
         if ux > 3 * uy:
             return "near-null mode resembles an x-translation"
         if uy > 3 * ux:

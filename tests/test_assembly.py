@@ -7,6 +7,7 @@ a time; the reductions' free blocks are compared with dense slicing.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,20 +107,44 @@ class TestScatterAssembly:
                                       matrix.toarray()[rows][:, want])
 
         # the values travel with their DOFs, in whatever order they come;
-        # the bottom edge removes the rigid modes.  No load: the residual
-        # check is relative to ||F_free||, which O(1) loads beside O(1)
-        # prescribed displacements would make fail
+        # the bottom edge removes the rigid modes
         bottom = mesh.boundary_node_sets["bottom"]
         supports = np.union1d(fixed, np.concatenate([2 * bottom,
                                                      2 * bottom + 1]))
         values = rng.normal(size=supports.size)
         perm = rng.permutation(supports.size)
-        f = np.zeros(k.shape[0])
+        f = rng.normal(size=k.shape[0])
         u = solve_displacements(k, f, mesh, supports, values)[0]
         assert np.array_equal(u[supports], values)
         permuted = solve_displacements(k, f, mesh, supports[perm],
                                        values[perm])[0]
         assert np.array_equal(permuted, u)
+
+        # after the first factorization the gathers return M_ff in its
+        # fill-reducing order q, symmetrically permuted
+        free = np.setdiff1d(np.arange(k.shape[0]), supports)
+        reductions = [(data.stiffness_pattern.reduction(supports), k, free,
+                       supports)]
+        if free_nodes.size:
+            flow = data.flow_pattern.reduction(dirichlet)
+            before = flow.blocks(a)
+            flow.factor(a, 1e-10)
+            reductions.append((flow, a, free_nodes, dirichlet))
+            # the factorization rewrote the gathers in place; blocks taken
+            # before it keep their own index arrays
+            sliced = a.toarray()[free_nodes]
+            for block, cols in zip(before, (free_nodes, dirichlet)):
+                assert np.array_equal(block.toarray(), sliced[:, cols])
+        for reduction, matrix, rows, cols in reductions:
+            q = reduction.q
+            assert np.array_equal(np.sort(q), np.arange(rows.size))
+            assert np.array_equal(reduction.rows, rows[q])
+            dense = matrix.toarray()[rows]
+            m_ff, m_fd = reduction.blocks(matrix)
+            for block in (m_ff, m_fd):
+                assert_canonical_csc(block)
+            assert np.array_equal(m_ff.toarray(), dense[:, rows][q][:, q])
+            assert np.array_equal(m_fd.toarray(), dense[q][:, cols])
 
 
 class TestPatternsBuiltOnce:
@@ -190,3 +215,135 @@ class TestPatternsBuiltOnce:
             np.arange(6))
         with pytest.raises(InvalidArgumentError):
             reduction.blocks(k)
+
+
+class SpySplu:
+    """Replaces ``spla.splu``, the module attribute both solves call, and
+    records the dtype and column ordering of every factorization.  With
+    ``nan32`` the float32 factors solve to NaN."""
+
+    def __init__(self, monkeypatch, nan32=False):
+        self.calls, self.nan32, self._real = [], nan32, spla.splu
+        monkeypatch.setattr(spla, "splu", self)
+
+    def __call__(self, matrix, permc_spec=None):
+        self.calls.append((matrix.dtype, permc_spec))
+        lu = self._real(matrix, permc_spec=permc_spec)
+        return NaNFactor(lu) if self.nan32 and matrix.dtype == np.float32 \
+            else lu
+
+
+class NaNFactor:
+    def __init__(self, lu):
+        self.perm_c, self.nnz = lu.perm_c, lu.nnz
+
+    def solve(self, b):
+        return np.full(b.shape, np.nan, dtype=b.dtype)
+
+
+def float64_solve(matrix, free, rhs):
+    """Solution on ``free`` by a float64 SuperLU factor of the sorted block."""
+    m_ff = matrix[free][:, free].tocsc()
+    return spla.splu(m_ff, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+
+
+def relative_error(x, reference):
+    return np.abs(x - reference).max() / np.abs(reference).max()
+
+
+class TestRefinedSolve:
+    """Float32 factors refined in float64, in an ordering computed once per
+    boundary set, with a counted float64 fallback."""
+
+    def _problem(self, seed, nex=6, ney=5):
+        mesh = generate_mesh(nex, ney, 0.1 * nex, 0.1 * ney)
+        design = make_uniform_design(mesh, [0.5, 0.5])
+        rng = np.random.default_rng(seed)
+        design.filtered = rng.uniform(0.3, 1.0, design.filtered.shape)
+        bottom = mesh.boundary_node_sets["bottom"]
+        fixed = np.sort(np.concatenate([2 * bottom, 2 * bottom + 1]))
+        return mesh, design, fixed, rng
+
+    def test_ordering_computed_once_per_boundary_set(self, monkeypatch):
+        spy = SpySplu(monkeypatch)
+        mesh, design, fixed, rng = self._problem(0)
+        n = 4
+        for _ in range(n):
+            design.filtered = rng.uniform(0.3, 1.0, design.filtered.shape)
+            solve_pressure(*assemble_flow(mesh, design, FLOW), mesh,
+                           {"top": 1e5, "bottom": 0.0})
+            k = assemble_stiffness(mesh, design, MATS)
+            solve_displacements(k, rng.normal(size=k.shape[0]), mesh, fixed)
+        assert all(dtype == np.float32 for dtype, _ in spy.calls)
+        specs = [spec for _, spec in spy.calls]
+        assert specs[:2] == ["MMD_AT_PLUS_A"] * 2
+        assert specs[2:] == ["NATURAL"] * (2 * (n - 1))
+
+    def test_agrees_with_float64_solve(self):
+        mesh, design, fixed, rng = self._problem(1, nex=10, ney=8)
+        free = np.setdiff1d(np.arange(2 * mesh.n_nodes), fixed)
+        # the first solve fixes the ordering, the second uses it
+        for _ in range(2):
+            k = assemble_stiffness(mesh, design, MATS)
+            f = rng.normal(size=k.shape[0])
+            u, _ = solve_displacements(k, f, mesh, fixed)
+            assert relative_error(u[free], float64_solve(k, free, f[free])) \
+                <= 1e-12
+
+            a, t = assemble_flow(mesh, design, FLOW)
+            state = solve_pressure(a, t, mesh, {"top": 1e5, "bottom": 0.0})
+            nodes = state.reduction.free
+            dirichlet = state.reduction.fixed
+            rhs = -(a[nodes][:, dirichlet] @ state.p[dirichlet])
+            assert relative_error(state.p[nodes],
+                                  float64_solve(a, nodes, rhs)) <= 1e-12
+            g = rng.normal(size=a.shape[0])
+            lam = state.adjoint_solve(g)
+            assert np.all(lam[dirichlet] == 0.0)
+            assert relative_error(lam[nodes],
+                                  float64_solve(a, nodes, g[nodes])) <= 1e-12
+
+    def test_stall_engages_float64_fallback(self, monkeypatch):
+        mesh, design, fixed, rng = self._problem(2)
+        k = assemble_stiffness(mesh, design, MATS)
+        reduction = mesh_integrals(mesh).stiffness_pattern.reduction(fixed)
+        f = rng.normal(size=k.shape[0])
+        rhs = reduction.reduce(k, None, f)
+        lu = reduction.factor(k, 1e-9)
+        x = lu(rhs)
+        assert lu.fallbacks == 0
+        # the first float32 solution misses the gate; with no refinement
+        # step allowed, the solve falls back to one float64 factor
+        m_ff = lu.matrix
+        x32 = spla.splu(m_ff.astype(np.float32), permc_spec="NATURAL").solve(
+            rhs.astype(np.float32))
+        assert np.linalg.norm(rhs - m_ff @ x32) > 1e-9 * np.linalg.norm(rhs)
+        monkeypatch.setattr(_element_data, "_MAX_STEPS", 0)
+        spy = SpySplu(monkeypatch)
+        stalled = reduction.factor(k, 1e-9)
+        y = stalled(rhs)
+        assert stalled.fallbacks == 1
+        assert spy.calls == [(np.float32, "NATURAL"), (np.float64, "NATURAL")]
+        assert np.linalg.norm(rhs - m_ff @ y) <= 1e-9 * np.linalg.norm(rhs)
+        assert relative_error(y, x) <= 1e-12
+
+    def test_nan_residual_engages_fallback(self, monkeypatch):
+        mesh, design, fixed, rng = self._problem(3)
+        spy = SpySplu(monkeypatch, nan32=True)
+        k = assemble_stiffness(mesh, design, MATS)
+        f = rng.normal(size=k.shape[0])
+        u, _ = solve_displacements(k, f, mesh, fixed)
+        free = np.setdiff1d(np.arange(k.shape[0]), fixed)
+        assert np.all(np.isfinite(u))
+        assert [dtype for dtype, _ in spy.calls] == [np.float32, np.float64]
+        assert relative_error(u[free], float64_solve(k, free, f[free])) \
+            <= 1e-12
+
+        del spy.calls[:]
+        state = solve_pressure(*assemble_flow(mesh, design, FLOW), mesh,
+                               {"top": 1e5, "bottom": 0.0})
+        assert state.lu_solve.fallbacks == 1
+        assert np.all(np.isfinite(state.p))
+        assert np.all(np.isfinite(state.adjoint_solve(f[:mesh.n_nodes])))
+        # the adjoint reuses the float64 factor
+        assert [dtype for dtype, _ in spy.calls] == [np.float32, np.float64]

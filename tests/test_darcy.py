@@ -6,6 +6,7 @@ from presstopo import (
     FlowParams,
     IllPosedError,
     InvalidArgumentError,
+    SolverError,
     assemble_flow,
     drainage_coefficient,
     flow_coefficient,
@@ -240,6 +241,21 @@ class TestSolvePressure:
         a, t = assemble_flow(mesh, design, params)
         with pytest.raises(InvalidArgumentError):
             solve_pressure(a, t, mesh, {"north": 1e5})
+
+    def test_non_finite_field_raises(self, monkeypatch):
+        class NaNFactor:
+            def __init__(self, lu):
+                self.perm_c, self.nnz = lu.perm_c, lu.nnz
+
+            def solve(self, b):
+                return np.full(b.shape, np.nan, dtype=b.dtype)
+
+        real = spla.splu
+        monkeypatch.setattr(spla, "splu",
+                            lambda *args, **kw: NaNFactor(real(*args, **kw)))
+        mesh = strip_mesh(n=10)
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_strip(mesh, 0.5, FlowParams(d_solid=0.5))
 
     def test_residual_criterion(self):
         mesh = strip_mesh(n=10)

@@ -15,6 +15,7 @@ from presstopo import (
 )
 
 from presstopo._element_data import mesh_integrals
+from presstopo.elasticity import _describe_rigid_mode
 
 from conftest import make_uniform_design, regular_hexagon
 
@@ -217,6 +218,39 @@ class TestSolveDisplacements:
             with pytest.raises(InvalidArgumentError):
                 solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4,
                                     np.append(fixed, extra))
+
+    def test_non_finite_load_or_value_rejected(self, mesh_5x4):
+        k, fixed = self._system(mesh_5x4)
+        f = np.zeros(k.shape[0])
+        f[5] = np.nan
+        with pytest.raises(InvalidArgumentError):
+            solve_displacements(k, f, mesh_5x4, fixed)
+        values = np.zeros(fixed.size)
+        values[2] = np.inf
+        with pytest.raises(InvalidArgumentError):
+            solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4, fixed,
+                                values)
+
+    def test_residual_relative_to_reduced_rhs(self, mesh_5x4):
+        # K_fd v dwarfs the load: the residual is judged against the reduced
+        # right-hand side F_f - K_fd v, not against F_f alone
+        k, fixed = self._system(mesh_5x4, rho=(0.4, 0.6))
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=fixed.size)
+        f = 1e-9 * rng.normal(size=k.shape[0])
+        u, _ = solve_displacements(k, f, mesh_5x4, fixed, values)
+        free = np.setdiff1d(np.arange(k.shape[0]), fixed)
+        rhs = f[free] - k[free][:, fixed] @ values
+        dense = np.linalg.solve(k[free][:, free].toarray(), rhs)
+        assert np.abs(u[free] - dense).max() < 1e-10 * np.abs(dense).max()
+
+    def test_rigid_mode_named_in_any_dof_order(self, mesh_5x4):
+        k, _ = self._system(mesh_5x4)
+        bottom = mesh_5x4.boundary_node_sets["bottom"]
+        free = np.setdiff1d(np.arange(k.shape[0]), 2 * bottom + 1)
+        perm = np.random.default_rng(6).permutation(free.size)
+        k_ff = k[free][:, free][perm][:, perm].tocsc()
+        assert "x-translation" in _describe_rigid_mode(k_ff, free[perm])
 
     def test_residual_tolerance(self, mesh_5x4):
         k, fixed = self._system(mesh_5x4, rho=(0.4, 0.6))
