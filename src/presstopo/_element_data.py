@@ -22,15 +22,15 @@ indices and the index gathers that take M_ff and M_fd out of the ``data`` of
 any matrix on the pattern in canonical CSC form; it forms the reduced
 right-hand side b_f - M_fd v and scatters a free solution back.
 
-It also factors M_ff (``Reduction.factor``), for the pressure solve, the
-displacement solve and the flow adjoint alike.  SuperLU factors the float32
-copy of M_ff and ``MixedLU`` refines its solutions in float64 (Langou et
-al. 2006; Carson & Higham 2018), with one float64 factorization as the
-fallback when refinement misses the caller's residual gate.  The column
-ordering depends on the pattern only, so the first factorization computes
-it (``MMD_AT_PLUS_A``) and the reduction folds it into its M_ff gather; every
-later M_ff comes out already permuted and is factored as it is
-(``NATURAL``).
+The free indices are numbered in one fill-reducing order per mesh: a nested
+dissection of the honeycomb's node lattice (George 1973, SIAM J. Numer.
+Anal. 10:345; ``nested_dissection``), built with the patterns, so the
+gathers return M_ff already permuted.  The reduction factors it as it is
+(``Reduction.factor``, SuperLU with ``NATURAL``), for the pressure solve,
+the displacement solve and the flow adjoint alike: SuperLU factors the
+float32 copy of M_ff and ``MixedLU`` refines its solutions in float64
+(Langou et al. 2006; Carson & Higham 2018), with one float64 factorization
+as the fallback when refinement misses the caller's residual gate.
 """
 
 from __future__ import annotations
@@ -47,6 +47,14 @@ from .honeymesh import _wachspress, hex_quadrature
 # refinement steps after the first float32 solve of a right-hand side; the
 # residual usually stops halving well before this many
 _MAX_STEPS = 10
+
+# nested dissection: parts of at most _LEAF_SIZE nodes keep their node
+# order; a split tries the lattice lines up to _WINDOW either side of the
+# median and pays _IMBALANCE separator nodes per node of difference between
+# its halves
+_LEAF_SIZE = 16
+_WINDOW = 3
+_IMBALANCE = 0.5
 
 
 def element_quadrature(vertices):
@@ -74,9 +82,108 @@ def _read_only(*arrays):
         arr.flags.writeable = False
 
 
-def _arrays(blocks):
-    """The (data, indices, indptr) arrays of each sparse block, in turn."""
-    return [a for b in blocks for a in (b.data, b.indices, b.indptr)]
+def _place(rank, nodes, part, first):
+    """Rank ``nodes`` part by part, in the order given, from ``first[part]``."""
+    order = np.argsort(part, kind="stable")
+    nodes, part = nodes[order], part[order]
+    count = np.bincount(part, minlength=first.size)
+    rank[nodes] = (first[part] + np.arange(part.size)
+                   - (np.cumsum(count) - count)[part])
+
+
+def nested_dissection(lattice, node_ptr, node_cols):
+    """Rank of each node in a nested-dissection order of the node graph
+    (CSR ``node_ptr``, ``node_cols``, self pairs included) of nodes at the
+    integer ``lattice`` points, after George 1973.
+
+    Every part of more than ``_LEAF_SIZE`` nodes is cut across its longer
+    extent, counted in element columns (3 half-steps in x) and rows (2 in
+    y).  Each lattice line c within ``_WINDOW`` of the part's median puts
+    the nodes below c on one side; the one-sided vertex separator is the set
+    of nodes on either side with a neighbour on the other, and the line and
+    side with the fewest separator nodes, plus ``_IMBALANCE`` per node of
+    difference between the halves, win.  The halves take the first ranks of
+    the part, lower half first, and the separator the last, so no edge
+    joins the two halves.  Each level of the recursion is one pass over all
+    parts.
+    """
+    n = node_ptr.size - 1
+    rank = np.empty(n, dtype=np.int64)
+    part = np.zeros(n, dtype=np.int64)     # -1 once ranked
+    first = np.zeros(1, dtype=np.int64)    # first rank of each part
+    nodes = np.arange(n)                   # the unranked nodes, ascending
+    # the edges within one part, by row; each unranked node keeps its self
+    # pair, so the rows of ``nodes`` start the segments of ``row``
+    row, col = np.repeat(np.arange(n), np.diff(node_ptr)), node_cols
+    offsets = np.arange(-_WINDOW, _WINDOW + 1)
+    width = offsets.size
+    while True:
+        p = part[nodes]
+        size = np.bincount(p, minlength=first.size)
+        leaf = size[p] <= _LEAF_SIZE
+        _place(rank, nodes[leaf], p[leaf], first)
+        part[nodes[leaf]] = -1
+        nodes, p = nodes[~leaf], p[~leaf]
+        if not nodes.size:
+            return rank
+        split = size > _LEAF_SIZE
+        p = (np.cumsum(split) - 1)[p]
+        first, size = first[split], size[split]
+        parts = np.arange(first.size)
+        part_row = part[row]
+        keep = (part_row >= 0) & (part_row == part[col])
+        row, col = row[keep], col[keep]
+
+        # each part's coordinate t across its longer extent, and its lines
+        xy = lattice[nodes]
+        start = np.cumsum(size) - size
+        by_part = xy[np.argsort(p, kind="stable")]
+        lo = np.minimum.reduceat(by_part, start)
+        hi = np.maximum.reduceat(by_part, start)
+        extent = hi - lo
+        axis = (2 * extent[:, 0] < 3 * extent[:, 1]).astype(np.intp)
+        t = xy[np.arange(nodes.size), axis[p]]
+        median = t[np.lexsort((t, p))][start + size // 2]
+        # lo < line <= hi leaves nodes on both sides of every line
+        lines = np.clip(median[:, None] + offsets,
+                        lo[parts, axis][:, None] + 1, hi[parts, axis][:, None])
+
+        # the least and greatest t among each node's neighbours in its part
+        t_all = np.zeros(n, dtype=t.dtype)
+        t_all[nodes] = t
+        segments = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        near_lo = np.minimum.reduceat(t_all[col], segments)
+        near_hi = np.maximum.reduceat(t_all[col], segments)
+
+        c = lines[p]
+        below = t[:, None] < c
+        key = (p[:, None] * width + np.arange(width)).ravel()
+
+        def count(mask):
+            return np.bincount(key[mask.ravel()], minlength=first.size
+                               * width).reshape(first.size, width)
+
+        n_below = count(below)
+        n_above = size[:, None] - n_below
+        cut_above = count(~below & (near_lo[:, None] < c))
+        cut_below = count(below & (near_hi[:, None] >= c))
+        # side 0 takes the separator from above the line, side 1 from below
+        sep = np.stack([cut_above, cut_below])
+        lower = np.stack([n_below, n_below - cut_below])
+        upper = np.stack([n_above - cut_above, n_above])
+        cost = sep + _IMBALANCE * np.abs(lower - upper)
+        side, k = np.divmod(cost.transpose(1, 0, 2).reshape(first.size, -1)
+                            .argmin(axis=1), width)
+        c = lines[parts, k][p]
+        above = t >= c
+        cut = np.where(side[p] == 0, above & (near_lo < c),
+                       ~above & (near_hi >= c))
+        _place(rank, nodes[cut], p[cut], first + size - sep[side, parts, k])
+        part[nodes] = 2 * p + above
+        part[nodes[cut]] = -1
+        first = np.column_stack(
+            [first, first + lower[side, parts, k]]).ravel()
+        nodes = nodes[~cut]
 
 
 class Pattern:
@@ -87,10 +194,13 @@ class Pattern:
     ``node_ptr`` and ``node_cols``, and ``node_slot`` (n_elements, 6, 6), the
     position of each element's node pair.  ``block=(br, bc)`` expands it to
     ``br`` interleaved DOFs per row node and ``bc`` per column node (DOF
-    ``br * node + d``), the layout of ``MeshIntegrals.udofs``.
+    ``br * node + d``), the layout of ``MeshIntegrals.udofs``.  A square
+    pattern that reductions are taken on gets ``node_rank``, the node order
+    its blocks are factored in; DOF ``br * node + d`` takes ``rank``
+    ``br * node_rank[node] + d``.
     """
 
-    def __init__(self, node_ptr, node_cols, node_slot, block):
+    def __init__(self, node_ptr, node_cols, node_slot, block, node_rank=None):
         br, bc = block
         n = node_ptr.size - 1
         self.nnz = node_cols.size * br * bc
@@ -106,6 +216,8 @@ class Pattern:
         # element entry (br a + d, bc b + e) sits at pos[node_slot[., a, b], d, e]
         self.slot = pos.reshape(-1, br, bc)[node_slot].transpose(
             0, 1, 3, 2, 4).ravel()
+        self.rank = None if node_rank is None else (
+            br * node_rank[:, None] + np.arange(br)).ravel()
         _read_only(self.indptr, self.indices, self.slot)
         self._reductions = {}
 
@@ -133,8 +245,7 @@ class Reduction:
     ``fixed`` is sorted and ``order`` is the permutation that sorted it, so
     the value passed with the i-th fixed index stays on that index; ``free``
     is the sorted rest.  The reduced unknowns are the free indices in the
-    order ``rows``: ``free`` until the first ``factor`` call, ``free[q]``
-    after it, where ``q`` is the fill-reducing order of that factorization.
+    order ``rows``, ``free`` sorted by the pattern's fill-reducing ``rank``.
     """
 
     def __init__(self, pattern, fixed):
@@ -146,37 +257,32 @@ class Reduction:
         if np.any(self.fixed[1:] == self.fixed[:-1]):
             raise InvalidArgumentError("a fixed index is listed twice")
         self.free = np.setdiff1d(np.arange(n), self.fixed, assume_unique=True)
-        self.q, self.rows = None, self.free
-        self._indptr, self._indices = pattern.indptr, pattern.indices
-        self._slots = self._gather(self.free)
-        _read_only(self.order, self.fixed, self.free, *_arrays(self._slots))
-
-    def _gather(self, rows):
-        """Slot gathers of M_ff and M_fd with the free indices in the order
-        ``rows``."""
-        indptr, indices = self._indptr, self._indices
-        n, nf = indptr.size - 1, rows.size
+        self.rows = self.free[np.argsort(pattern.rank[self.free])]
+        self._indptr = indptr = pattern.indptr
         # the free rows in the order ``rows``, each entry holding its slot;
         # indices are numbered ``rows`` first, then fixed, so index i is free
         # when col[i] < nf.  tocsc is a counting sort by column that keeps
         # the rows of a column sorted
+        nf = self.rows.size
         col = np.empty(n, dtype=np.int64)
-        col[np.concatenate([rows, self.fixed])] = np.arange(n)
-        lengths = np.diff(indptr)[rows]
+        col[np.concatenate([self.rows, self.fixed])] = np.arange(n)
+        lengths = np.diff(indptr)[self.rows]
         ptr = np.append(0, np.cumsum(lengths))
-        keep = np.arange(ptr[-1]) + np.repeat(indptr[rows] - ptr[:-1], lengths)
-        slots = sp.csr_matrix((keep, col[indices[keep]], ptr),
+        keep = np.arange(ptr[-1]) + np.repeat(indptr[self.rows] - ptr[:-1],
+                                              lengths)
+        slots = sp.csr_matrix((keep, col[pattern.indices[keep]], ptr),
                               shape=(nf, n)).tocsc()
-        return slots[:, :nf], slots[:, nf:]
+        self._slots = slots[:, :nf], slots[:, nf:]
+        _read_only(self.order, self.fixed, self.free, self.rows,
+                   *(a for b in self._slots
+                     for a in (b.data, b.indices, b.indptr)))
 
     def _block(self, matrix, k):
         if matrix.indptr is not self._indptr:
             raise InvalidArgumentError("matrix was not assembled on this mesh")
         s = self._slots[k]
-        # the first factorization rewrites the gathers in place, so blocks
-        # taken before it get their own index arrays
         return sp.csc_matrix((matrix.data[s.data], s.indices, s.indptr),
-                             shape=s.shape, copy=self.q is None)
+                             shape=s.shape)
 
     def blocks(self, matrix):
         """M_ff and M_fd of ``matrix`` in canonical CSC form, free rows and
@@ -204,38 +310,18 @@ class Reduction:
 
     def factor(self, matrix, tol) -> MixedLU:
         """Solver of M_ff x_f = c for ``matrix``, ``c`` and ``x_f`` in the
-        order ``rows`` of the calls that follow; ``tol`` is its gate on
-        ||c - M_ff x_f|| / ||c||.
+        order ``rows``; ``tol`` is its gate on ||c - M_ff x_f|| / ||c||.
 
-        The first call factors M_ff with SuperLU's ``MMD_AT_PLUS_A`` column
-        ordering, which depends on the pattern only, and folds it into the
-        gathers: from then on ``blocks`` returns M_ff symmetrically permuted
-        and every factorization keeps that order (``NATURAL``).  Raises
-        ``RuntimeError`` when M_ff is singular in double precision too.
+        M_ff comes out of the gathers in its fill-reducing order, so SuperLU
+        factors it as it is (``NATURAL``).  Raises ``RuntimeError`` when M_ff
+        is singular in double precision too.
         """
         m_ff = self._block(matrix, 0)
-        spec = "MMD_AT_PLUS_A" if self.q is None else "NATURAL"
         try:
-            lu = spla.splu(m_ff.astype(np.float32), permc_spec=spec)
+            lu = spla.splu(m_ff.astype(np.float32), permc_spec="NATURAL")
         except RuntimeError:  # singular in single precision
-            return MixedLU(m_ff, tol, None, spec)
-        if self.q is not None:
-            return MixedLU(m_ff, tol, lu.solve, spec)
-        # SuperLU factors M_ff[:, q], q the inverse of perm_c.  The permuted
-        # gathers overwrite the first ones: freeing those instead leaves
-        # holes that fragment the heap (two 61x30 arch runs: peak RSS 115
-        # -> 139 MB)
-        perm_c, q = lu.perm_c, np.argsort(lu.perm_c)
-        for a, b in zip(_arrays(self._slots),
-                        _arrays(self._gather(self.free[q]))):
-            a.flags.writeable = True
-            a[...] = b
-        self.q, self.rows = q, self.free[q]
-        _read_only(self.q, self.rows, *_arrays(self._slots))
-        # the first factor solves the permuted system through the same
-        # permutation
-        return MixedLU(self._block(matrix, 0), tol,
-                       lambda c: lu.solve(c[perm_c])[q], "NATURAL")
+            return MixedLU(m_ff, tol, None)
+        return MixedLU(m_ff, tol, lu.solve)
 
     def expand(self, x_free, values=None):
         """Full vector: ``x_free`` (in the order ``rows``) on the free indices,
@@ -257,14 +343,14 @@ class MixedLU:
     repeats x += LU32^-1 r, r = b - M x in float64 until ||r|| / ||b|| no
     longer halves, at most ``_MAX_STEPS`` times.  When the result misses
     ``tol`` (or is not finite), or ``solve32`` is None because the float32
-    factorization failed, M is factored once in float64 with ``permc_spec``
+    factorization failed, M is factored once in float64, in its own order,
     and that factor solves from then on; ``fallbacks`` counts it.  ``steps``
     holds the refinement steps of the last solve.
     """
 
-    def __init__(self, matrix, tol, solve32, permc_spec):
+    def __init__(self, matrix, tol, solve32):
         self.matrix, self.tol = matrix, tol
-        self._solve32, self._spec = solve32, permc_spec
+        self._solve32 = solve32
         self._lu64 = None
         self.steps = self.fallbacks = 0
         if solve32 is None:
@@ -272,7 +358,7 @@ class MixedLU:
 
     def _factor64(self):
         self.fallbacks += 1
-        self._lu64 = spla.splu(self.matrix, permc_spec=self._spec)
+        self._lu64 = spla.splu(self.matrix, permc_spec="NATURAL")
 
     def __call__(self, b):
         if self._lu64 is None:
@@ -319,6 +405,7 @@ class MeshIntegrals:
                               self.shape)
         self.conn = mesh.elements
         self.n_nodes = mesh.n_nodes
+        self.lattice = mesh.node_lattice
         # interleaved displacement DOFs per element, (n_elements, 12)
         self.udofs = np.empty((mesh.n_elements, 12), dtype=self.conn.dtype)
         self.udofs[:, 0::2] = 2 * self.conn
@@ -351,14 +438,24 @@ class MeshIntegrals:
         return node_ptr, pairs % n, slot.reshape(self.conn.shape + (6,))
 
     @cached_property
+    def node_rank(self):
+        """Rank of each node in the mesh's nested-dissection order, built
+        once, with the first pattern that needs it."""
+        rank = nested_dissection(self.lattice, *self._node_pattern[:2])
+        _read_only(rank)
+        return rank
+
+    @cached_property
     def flow_pattern(self) -> Pattern:
         """Pattern of the (n_nodes, n_nodes) flow matrix A."""
-        return Pattern(*self._node_pattern, block=(1, 1))
+        return Pattern(*self._node_pattern, block=(1, 1),
+                       node_rank=self.node_rank)
 
     @cached_property
     def stiffness_pattern(self) -> Pattern:
         """Pattern of the (2 n_nodes, 2 n_nodes) stiffness matrix K."""
-        return Pattern(*self._node_pattern, block=(2, 2))
+        return Pattern(*self._node_pattern, block=(2, 2),
+                       node_rank=self.node_rank)
 
     def load_matrix(self, thickness):
         """(2 n_nodes, n_nodes) transformation T, built once per thickness;

@@ -14,7 +14,8 @@ pattern; T is built once per mesh and thickness and then reused.
 ``solve_pressure(A, T, mesh, pressure_bc)`` maps the named edges to their
 nodes, reduces A p = 0 to the free nodes through the flow pattern's
 ``Reduction`` for those nodes (built once per set of edges), solves it with
-the reduction's float32 factor refined in float64 and returns a frozen
+the reduction's float32 factor of A_ff, in the mesh's nested-dissection
+order, refined in float64 and returns a frozen
 ``PressureState`` holding A, T, p, the reduction and the refined solve,
 which the flow adjoint reuses; ``pressure_loads(T, p)`` gives the consistent
 nodal loads F = -T p.

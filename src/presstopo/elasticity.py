@@ -6,7 +6,9 @@ entries into the mesh's fixed stiffness pattern with one ``np.bincount``.
 ``solve_displacements(K, F, mesh, fixed_dofs)`` reduces K u = F to the free
 DOFs through the stiffness pattern's ``Reduction`` for the supports (built
 once per set of supports), solves it with the reduction's float32 factor of
-K_ff refined in float64 and checks the residual on the free DOFs.
+K_ff, in the mesh's nested-dissection order, refined in float64, and checks
+the residual on the free DOFs.  Supports that leave a rigid-body mode free
+are rejected before anything is factored.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._element_data import element_quadrature, mesh_integrals, stiffness_kernel
 from .darcy import PressureState
@@ -23,6 +24,7 @@ from .errors import InvalidArgumentError, SingularSystemError, SolverError
 from .fields import DesignField, interpolate_modulus
 
 _RESIDUAL_TOL = 1e-9
+_RIGID_MODES = ("x-translation", "y-translation", "rotation")
 
 
 @dataclass(frozen=True)
@@ -70,16 +72,13 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
     ``K`` comes from ``assemble_stiffness`` on ``mesh``.  ``fixed_values[i]``
     is prescribed on ``fixed_dofs[i]``, in the order the DOFs are passed, and
     defaults to homogeneous supports; a DOF listed twice is rejected, and so
-    is a non-finite load or prescribed value.  The reduced system
+    is a non-finite load or prescribed value.  Supports that leave a
+    rigid-body mode free raise ``SingularSystemError`` naming the mode.  The
+    reduced system
     K_ff u_f = F_f - K_fd v is solved by the refined sparse LU of the
     stiffness pattern's ``Reduction``; its residual must satisfy
     ||K_ff u_f - (F_f - K_fd v)|| / ||F_f - K_fd v|| < 1e-9.
     """
-    if np.size(fixed_dofs) < 3:
-        raise SingularSystemError(
-            "fewer than three constrained DOFs cannot remove the rigid-body "
-            "modes (two translations and one rotation)"
-        )
     F = np.asarray(F, dtype=float)
     if not np.all(np.isfinite(F)) or (
             fixed_values is not None
@@ -87,20 +86,18 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
         raise InvalidArgumentError("load and prescribed displacements must "
                                    "be finite")
     reduction = mesh_integrals(mesh).stiffness_pattern.reduction(fixed_dofs)
+    free_modes = _free_rigid_modes(mesh, reduction.fixed)
+    if free_modes:
+        raise SingularSystemError(
+            f"supports leave a rigid-body mode free: {', '.join(free_modes)}")
     try:
         lu = reduction.factor(K, _RESIDUAL_TOL)
         rhs = reduction.reduce(K, fixed_values, F)
         u_free = lu(rhs)
     except RuntimeError as exc:
-        raise SingularSystemError(
-            f"stiffness matrix is singular; "
-            f"{_describe_rigid_mode(reduction.blocks(K)[0], reduction.rows)}"
-        ) from exc
+        raise SingularSystemError("stiffness matrix is singular") from exc
     if not np.all(np.isfinite(u_free)):
-        raise SingularSystemError(
-            f"stiffness solve produced non-finite values; "
-            f"{_describe_rigid_mode(lu.matrix, reduction.rows)}"
-        )
+        raise SingularSystemError("stiffness solve produced non-finite values")
     u = reduction.expand(u_free, fixed_values)
 
     # taken in the order of ``free``, so that with homogeneous supports it
@@ -116,23 +113,24 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
     return u, compliance
 
 
-def _describe_rigid_mode(k_ff, dofs):
-    """Best-effort identification of the unconstrained rigid mode; ``dofs``
-    are the interleaved DOF numbers of the rows of ``k_ff``."""
-    try:
-        n = k_ff.shape[0]
-        if n > 20000:
-            return "system too large to identify the rigid mode"
-        # small negative shift keeps the shift-inverted operator nonsingular
-        shift = -1e-9 * max(float(np.abs(k_ff.diagonal()).max()), 1.0)
-        _, vecs = spla.eigsh(k_ff.tocsc(), k=1, sigma=shift, which="LM")
-        mode = vecs[:, 0]
-        ux = np.linalg.norm(mode[dofs % 2 == 0])
-        uy = np.linalg.norm(mode[dofs % 2 == 1])
-        if ux > 3 * uy:
-            return "near-null mode resembles an x-translation"
-        if uy > 3 * ux:
-            return "near-null mode resembles a y-translation"
-        return "near-null mode mixes both directions (rotation-like)"
-    except Exception:
-        return "rigid mode could not be identified"
+def _free_rigid_modes(mesh, dofs):
+    """Names of the rigid-body modes that fixing ``dofs`` leaves free.
+
+    The rigid motion a (1, 0) + b (0, 1) + theta (-(y - y0), x - x0) / L,
+    about the centre (x0, y0) of the nodes with L the longer side, is zero
+    on fixed x-DOF 2i when [1, 0, -(y_i - y0) / L] . (a, b, theta) = 0 and
+    on fixed y-DOF 2j when [0, 1, (x_j - x0) / L] . (a, b, theta) = 0.  K
+    has exactly these three null modes (every modulus is positive), so K_ff
+    is singular exactly when these rows have rank below 3.  For a null
+    space of dimension k the k modes with the largest share of it are named.
+    """
+    xy = (mesh.nodes - mesh.nodes.mean(axis=0)) / max(mesh.Lx, mesh.Ly)
+    node, d = np.divmod(dofs, 2)
+    # zero rows pad fewer than three DOFs, so the SVD returns all of vt
+    rows = np.zeros((max(dofs.size, 3), 3))
+    rows[np.arange(dofs.size), d] = 1.0
+    rows[:dofs.size, 2] = np.where(d == 0, -xy[node, 1], xy[node, 0])
+    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * rows.shape[0] * np.finfo(float).eps))
+    share = np.linalg.norm(vt[rank:], axis=0)
+    return [_RIGID_MODES[i] for i in sorted(np.argsort(-share)[:3 - rank])]

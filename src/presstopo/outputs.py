@@ -1,8 +1,12 @@
-"""Result files: convergence CSV, design CSV, legacy VTK polydata, SVG."""
+"""Result files: convergence CSV, design CSV, legacy VTK polydata, SVG.
+
+Each block of numbers is formatted in one ``%`` operation over a joined
+line template, with the same conversions (``%.17g``, ``%.2f``) as one
+f-string per value.
+"""
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -46,16 +50,23 @@ def write_outputs(result, output_dir, write_vtk=None, write_svg=None):
         raise PresstopoError(f"cannot write outputs to {out}: {exc}") from exc
 
 
+def _lines(template, rows, sep="\n"):
+    """``template % row`` for each row of the 2-D array ``rows``, joined by
+    ``sep``."""
+    return sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_design_csv(path, design):
-    """Raw design variables per element: id, rho1, rho2[, rho3]."""
+    """Raw design variables per element: id, rho1, rho2[, rho3], as
+    ``csv.writer`` lays them out (CRLF line ends)."""
     m = design.n_variables
+    header = ",".join(["element", *[f"rho{j + 1}" for j in range(m)]])
+    # the element number goes through %d as an exact float
+    rows = np.column_stack([np.arange(design.n_elements), design.raw])
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["element", *[f"rho{j + 1}" for j in range(m)]])
-        for e in range(design.n_elements):
-            writer.writerow(
-                [e, *[f"{v:.17g}" for v in design.raw[e]]]
-            )
+        handle.write(header + "\r\n"
+                     + _lines(",".join(["%d"] + ["%.17g"] * m), rows, "\r\n")
+                     + "\r\n")
 
 
 def write_vtk_polydata(path, mesh, design, pressure=None, displacement=None):
@@ -74,10 +85,10 @@ def write_vtk_polydata(path, mesh, design, pressure=None, displacement=None):
         "DATASET POLYDATA",
         f"POINTS {mesh.n_nodes} double",
     ]
-    lines.extend(f"{x:.17g} {y:.17g} 0" for x, y in mesh.nodes)
+    lines.append(_lines("%.17g %.17g 0", mesh.nodes))
     nel = mesh.n_elements
     lines.append(f"POLYGONS {nel} {nel * 7}")
-    lines.extend("6 " + " ".join(map(str, conn)) for conn in mesh.elements)
+    lines.append(_lines("6" + " %d" * 6, mesh.elements))
 
     lines.append(f"CELL_DATA {nel}")
     cell_fields = [("topology", design.filtered[:, 0])]
@@ -85,20 +96,18 @@ def write_vtk_polydata(path, mesh, design, pressure=None, displacement=None):
     for name, values in cell_fields:
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{v:.17g}" for v in values)
+        lines.append(_lines("%.17g", values[:, None]))
 
     if pressure is not None or displacement is not None:
         lines.append(f"POINT_DATA {mesh.n_nodes}")
     if pressure is not None:
         lines.append("SCALARS pressure double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{v:.17g}" for v in pressure)
+        lines.append(_lines("%.17g", pressure[:, None]))
     if displacement is not None:
         lines.append("VECTORS displacement double")
-        lines.extend(
-            f"{displacement[2 * i]:.17g} {displacement[2 * i + 1]:.17g} 0"
-            for i in range(mesh.n_nodes)
-        )
+        lines.append(_lines("%.17g %.17g 0",
+                            displacement[:2 * mesh.n_nodes].reshape(-1, 2)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -177,55 +186,55 @@ def write_material_svg(path, mesh, design, pressure=None, width_px=900,
     ]
     coords = mesh.nodes * scale
     coords = np.column_stack([coords[:, 0], height_px - coords[:, 1]])
-    for e in range(mesh.n_elements):
-        color = colors[dominant[e]]
-        if color == _VOID_COLOR:
-            continue
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords[mesh.elements[e]])
-        parts.append(f'<polygon points="{pts}" fill="{color}"/>')
+    points = " ".join(["%.2f,%.2f"] * 6)
+    polygons = [f'<polygon points="{points}" fill="{color}"/>'
+                for color in colors]
+    shown = np.flatnonzero(np.asarray(colors)[dominant] != _VOID_COLOR)
+    if shown.size:
+        parts.append("\n".join([polygons[d] for d in dominant[shown]])
+                     % tuple(coords[mesh.elements[shown]].ravel().tolist()))
 
     if pressure is not None and np.ptp(pressure) > 0:
         levels = np.linspace(pressure.min(), pressure.max(), n_isolines + 2)[1:-1]
-        segments = _pressure_isolines(mesh, pressure, levels)
-        for (x0, y0), (x1, y1) in segments:
-            parts.append(
-                f'<line x1="{x0 * scale:.2f}" y1="{height_px - y0 * scale:.2f}" '
-                f'x2="{x1 * scale:.2f}" y2="{height_px - y1 * scale:.2f}" '
-                f'stroke="#1f77b4" stroke-width="0.6"/>'
-            )
+        ends = _pressure_isolines(mesh, pressure, levels) * scale
+        ends[:, :, 1] = height_px - ends[:, :, 1]
+        if ends.size:
+            parts.append(_lines(
+                '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                'stroke="#1f77b4" stroke-width="0.6"/>', ends))
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 
 
 def _pressure_isolines(mesh, pressure, levels):
-    """Level-set segments from linear interpolation on the centroid fans."""
-    segments = []
+    """Level-set segments from linear interpolation on the centroid fans,
+    (n_segments, 2, 2): level by level, fan triangle by triangle."""
+    segments = [np.empty((0, 2, 2))]
     conn = mesh.elements
     verts = mesh.nodes[conn]                      # (nel, 6, 2)
     pv = pressure[conn]                           # (nel, 6)
     centers = verts.mean(axis=1)
     pc = pv.mean(axis=1)
+    fans = [(np.stack([centers, verts[:, k], verts[:, (k + 1) % 6]], axis=1),
+             np.stack([pc, pv[:, k], pv[:, (k + 1) % 6]], axis=1))
+            for k in range(6)]
     for level in levels:
-        for k in range(6):
-            k2 = (k + 1) % 6
-            tri_xy = np.stack([centers, verts[:, k], verts[:, k2]], axis=1)
-            tri_p = np.stack([pc, pv[:, k], pv[:, k2]], axis=1)
-            segments.extend(_triangle_crossings(tri_xy, tri_p, level))
-    return segments
+        for tri_xy, tri_p in fans:
+            segments.append(_triangle_crossings(tri_xy, tri_p, level))
+    return np.concatenate(segments)
 
 
 def _triangle_crossings(xy, p, level):
-    """Isoline segments of one triangle batch; xy (n,3,2), p (n,3)."""
-    out = []
+    """Isoline segments of one triangle batch, (n_crossing, 2, 2); xy
+    (n,3,2), p (n,3).  A crossed triangle has exactly two crossed edges,
+    taken in the order (0, 1), (1, 2), (2, 0)."""
     above = p > level
     crossing = (above.sum(axis=1) % 3) != 0
-    for idx in np.flatnonzero(crossing):
-        pts = []
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            pa, pb = p[idx, a], p[idx, b]
-            if (pa > level) != (pb > level):
-                t = (level - pa) / (pb - pa)
-                pts.append(xy[idx, a] + t * (xy[idx, b] - xy[idx, a]))
-        if len(pts) == 2:
-            out.append((pts[0], pts[1]))
-    return out
+    xy, p, above = xy[crossing], p[crossing], above[crossing]
+    b = [1, 2, 0]
+    crossed = above != above[:, b]
+    # edges that are not crossed may divide by zero; they are dropped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (level - p) / (p[:, b] - p)
+        points = xy + t[:, :, None] * (xy[:, b] - xy)
+    return points[crossed].reshape(-1, 2, 2)

@@ -23,6 +23,8 @@ from presstopo import (
 )
 from presstopo import _element_data
 from presstopo._element_data import mesh_integrals
+from presstopo.config import load_config
+from presstopo.driver import build_problem, initial_design, make_design
 from presstopo.darcy import drainage_coefficient, flow_coefficient
 from presstopo.fields import interpolate_modulus
 
@@ -98,13 +100,17 @@ class TestScatterAssembly:
             (data.stiffness_pattern, k, free, fixed),
             (data.flow_pattern, a, free_nodes, dirichlet),
         ]
-        for pattern, matrix, rows, cols in reductions:
-            reduction = pattern.reduction(cols)
-            assert np.array_equal(reduction.free, rows)
-            for block, want in zip(reduction.blocks(matrix), (rows, cols)):
+        # the gathers return M_ff and M_fd with the free indices in the
+        # pattern's fill-reducing order
+        for pattern, matrix, free, fixed in reductions:
+            reduction = pattern.reduction(fixed)
+            assert np.array_equal(reduction.free, free)
+            rows = free[np.argsort(pattern.rank[free])]
+            assert np.array_equal(reduction.rows, rows)
+            dense = matrix.toarray()[rows]
+            for block, cols in zip(reduction.blocks(matrix), (rows, fixed)):
                 assert_canonical_csc(block)
-                assert np.array_equal(block.toarray(),
-                                      matrix.toarray()[rows][:, want])
+                assert np.array_equal(block.toarray(), dense[:, cols])
 
         # the values travel with their DOFs, in whatever order they come;
         # the bottom edge removes the rigid modes
@@ -120,38 +126,54 @@ class TestScatterAssembly:
                                        values[perm])[0]
         assert np.array_equal(permuted, u)
 
-        # after the first factorization the gathers return M_ff in its
-        # fill-reducing order q, symmetrically permuted
-        free = np.setdiff1d(np.arange(k.shape[0]), supports)
-        reductions = [(data.stiffness_pattern.reduction(supports), k, free,
-                       supports)]
-        if free_nodes.size:
-            flow = data.flow_pattern.reduction(dirichlet)
-            before = flow.blocks(a)
-            flow.factor(a, 1e-10)
-            reductions.append((flow, a, free_nodes, dirichlet))
-            # the factorization rewrote the gathers in place; blocks taken
-            # before it keep their own index arrays
-            sliced = a.toarray()[free_nodes]
-            for block, cols in zip(before, (free_nodes, dirichlet)):
-                assert np.array_equal(block.toarray(), sliced[:, cols])
-        for reduction, matrix, rows, cols in reductions:
-            q = reduction.q
-            assert np.array_equal(np.sort(q), np.arange(rows.size))
-            assert np.array_equal(reduction.rows, rows[q])
-            dense = matrix.toarray()[rows]
-            m_ff, m_fd = reduction.blocks(matrix)
-            for block in (m_ff, m_fd):
-                assert_canonical_csc(block)
-            assert np.array_equal(m_ff.toarray(), dense[:, rows][q][:, q])
-            assert np.array_equal(m_fd.toarray(), dense[q][:, cols])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(problems())
+    def test_node_order_is_a_nested_dissection(self, problem):
+        mesh = problem[0]
+        data = mesh_integrals(mesh)
+        ptr, cols, _ = data._node_pattern
+        calls = []
+        place = _element_data._place
+
+        def spy(rank, nodes, part, first):
+            calls.append((nodes.copy(), part.copy(), first.copy()))
+            place(rank, nodes, part, first)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_element_data, "_place", spy)
+            rank = _element_data.nested_dissection(mesh.node_lattice, ptr,
+                                                   cols)
+        assert np.array_equal(np.sort(rank), np.arange(mesh.n_nodes))
+        assert np.array_equal(rank, data.node_rank)
+        assert np.array_equal(rank, _element_data.nested_dissection(
+            mesh.node_lattice, ptr, cols))
+
+        # each level places its leaves, then its separators from the last
+        # ranks of their parts; the next level's leaf call gets the first
+        # ranks of the halves, 2q below the line and 2q + 1 above it
+        rows = np.repeat(np.arange(mesh.n_nodes), np.diff(ptr))
+        for (seps, q, sep_first), (_, _, halves) in zip(calls[1::2],
+                                                        calls[2::2]):
+            assert halves.size == 2 * sep_first.size
+            ends = np.append(halves[1:], 0)
+            ends[1::2] = sep_first
+            assert np.all(halves <= ends)
+            assert np.all(rank[seps] >= sep_first[q])
+            # half h holds the ranks [halves[h], ends[h])
+            half = np.full(mesh.n_nodes, -1)
+            for h in np.flatnonzero(halves < ends):
+                half[(rank >= halves[h]) & (rank < ends[h])] = h
+            a, b = half[rows], half[cols]
+            joined = (a >= 0) & (b >= 0) & (a != b) & (a // 2 == b // 2)
+            assert not np.any(joined)
 
 
 class TestPatternsBuiltOnce:
     def test_lazy_and_shared_per_mesh(self):
         mesh = generate_mesh(5, 4, 1.0, 0.8)
         data = mesh_integrals(mesh)
-        built = ("_node_pattern", "flow_pattern", "stiffness_pattern")
+        built = ("_node_pattern", "node_rank", "flow_pattern",
+                 "stiffness_pattern")
         assert not any(name in vars(data) for name in built)
 
         design = make_uniform_design(mesh, [0.5, 0.5])
@@ -252,8 +274,8 @@ def relative_error(x, reference):
 
 
 class TestRefinedSolve:
-    """Float32 factors refined in float64, in an ordering computed once per
-    boundary set, with a counted float64 fallback."""
+    """Float32 factors refined in float64, in a nested-dissection order
+    built once per mesh, with a counted float64 fallback."""
 
     def _problem(self, seed, nex=6, ney=5):
         mesh = generate_mesh(nex, ney, 0.1 * nex, 0.1 * ney)
@@ -264,7 +286,15 @@ class TestRefinedSolve:
         fixed = np.sort(np.concatenate([2 * bottom, 2 * bottom + 1]))
         return mesh, design, fixed, rng
 
-    def test_ordering_computed_once_per_boundary_set(self, monkeypatch):
+    def test_order_built_once_per_mesh(self, monkeypatch):
+        built = []
+        order = _element_data.nested_dissection
+
+        def counted(*args):
+            built.append(args)
+            return order(*args)
+
+        monkeypatch.setattr(_element_data, "nested_dissection", counted)
         spy = SpySplu(monkeypatch)
         mesh, design, fixed, rng = self._problem(0)
         n = 4
@@ -274,10 +304,28 @@ class TestRefinedSolve:
                            {"top": 1e5, "bottom": 0.0})
             k = assemble_stiffness(mesh, design, MATS)
             solve_displacements(k, rng.normal(size=k.shape[0]), mesh, fixed)
-        assert all(dtype == np.float32 for dtype, _ in spy.calls)
-        specs = [spec for _, spec in spy.calls]
-        assert specs[:2] == ["MMD_AT_PLUS_A"] * 2
-        assert specs[2:] == ["NATURAL"] * (2 * (n - 1))
+        assert spy.calls == [(np.float32, "NATURAL")] * (2 * n)
+        assert len(built) == 1
+
+    def test_fill_at_most_minimum_degree(self):
+        # the desk arch: arch-2mat on 61x30, at the uniform start
+        cfg = load_config("arch-2mat")
+        cfg.nex, cfg.ney = 61, 30
+        mesh, filt, mats, flow, fixed = build_problem(cfg.validate())
+        design = make_design(initial_design(cfg, mesh), filt, mesh, mats)
+        data = mesh_integrals(mesh)
+        dirichlet = np.concatenate([mesh.boundary_node_sets[edge]
+                                    for edge in cfg.pressure_bc])
+        systems = [
+            (data.stiffness_pattern.reduction(fixed),
+             assemble_stiffness(mesh, design, mats)),
+            (data.flow_pattern.reduction(dirichlet),
+             assemble_flow(mesh, design, flow)[0]),
+        ]
+        for reduction, matrix in systems:
+            m_ff = reduction.blocks(matrix)[0].astype(np.float32)
+            nested = spla.splu(m_ff, permc_spec="NATURAL").nnz
+            assert nested <= spla.splu(m_ff, permc_spec="MMD_AT_PLUS_A").nnz
 
     def test_agrees_with_float64_solve(self):
         mesh, design, fixed, rng = self._problem(1, nex=10, ney=8)

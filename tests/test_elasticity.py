@@ -15,7 +15,6 @@ from presstopo import (
 )
 
 from presstopo._element_data import mesh_integrals
-from presstopo.elasticity import _describe_rigid_mode
 
 from conftest import make_uniform_design, regular_hexagon
 
@@ -245,12 +244,25 @@ class TestSolveDisplacements:
         assert np.abs(u[free] - dense).max() < 1e-10 * np.abs(dense).max()
 
     def test_rigid_mode_named_in_any_dof_order(self, mesh_5x4):
+        # both DOFs of one bottom node and the x-DOFs of the others on the
+        # same line leave the rotation about that line free
         k, _ = self._system(mesh_5x4)
         bottom = mesh_5x4.boundary_node_sets["bottom"]
-        free = np.setdiff1d(np.arange(k.shape[0]), 2 * bottom + 1)
-        perm = np.random.default_rng(6).permutation(free.size)
-        k_ff = k[free][:, free][perm][:, perm].tocsc()
-        assert "x-translation" in _describe_rigid_mode(k_ff, free[perm])
+        fixed = np.append(2 * bottom, 2 * bottom[0] + 1)
+        fixed = np.random.default_rng(6).permutation(fixed)
+        with pytest.raises(SingularSystemError, match="free: rotation$"):
+            solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4, fixed)
+
+    def test_free_rigid_mode_rejected_for_any_load(self, mesh_5x4):
+        # the y-DOFs of the bottom edge leave the x-translation free; a
+        # vertical load has no component along it, so K_ff must be
+        # recognised as singular from the supports themselves
+        k, _ = self._system(mesh_5x4)
+        f = np.zeros(k.shape[0])
+        f[2 * mesh_5x4.boundary_node_sets["top"] + 1] = -1.0
+        fixed = 2 * mesh_5x4.boundary_node_sets["bottom"] + 1
+        with pytest.raises(SingularSystemError, match="free: x-translation$"):
+            solve_displacements(k, f, mesh_5x4, fixed)
 
     def test_residual_tolerance(self, mesh_5x4):
         k, fixed = self._system(mesh_5x4, rho=(0.4, 0.6))

@@ -1,8 +1,14 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from presstopo import driver
+from presstopo.fields import material_phase_densities
 from presstopo.outputs import (
+    _VOID_COLOR,
+    _MATERIAL_COLORS,
     read_vtk_polydata,
     write_design_csv,
     write_material_svg,
@@ -122,3 +128,102 @@ class TestWriteOutputs:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "element,rho1,rho2"
         assert len(lines) == 1 + small_result.mesh.n_elements
+
+
+def reference_design_csv(path, design):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["element", *[f"rho{j + 1}"
+                                      for j in range(design.n_variables)]])
+        for e in range(design.n_elements):
+            writer.writerow([e, *[f"{v:.17g}" for v in design.raw[e]]])
+
+
+def reference_vtk_blocks(mesh, design, pressure, displacement):
+    """The number lines of ``write_vtk_polydata``, one f-string per value."""
+    phases = material_phase_densities(design.filtered, design.n_variables)
+    lines = [f"{x:.17g} {y:.17g} 0" for x, y in mesh.nodes]
+    lines += ["6 " + " ".join(map(str, conn)) for conn in mesh.elements]
+    for values in (design.filtered[:, 0], *phases.T, pressure):
+        lines += [f"{v:.17g}" for v in values]
+    lines += [f"{displacement[2 * i]:.17g} {displacement[2 * i + 1]:.17g} 0"
+              for i in range(mesh.n_nodes)]
+    return lines
+
+
+def reference_svg_shapes(mesh, design, pressure, width_px=900, n_isolines=9):
+    """The polygon and isoline lines of ``write_material_svg``."""
+    m = design.n_variables
+    phases = material_phase_densities(design.filtered, m)
+    shares = np.column_stack([1.0 - design.filtered[:, 0], phases])
+    dominant = shares.argmax(axis=1)
+    colors = [_VOID_COLOR] + list(reversed(_MATERIAL_COLORS[:m]))
+    scale = width_px / mesh.Lx
+    height_px = mesh.Ly * scale
+    coords = mesh.nodes * scale
+    coords = np.column_stack([coords[:, 0], height_px - coords[:, 1]])
+    lines = []
+    for e in range(mesh.n_elements):
+        color = colors[dominant[e]]
+        if color != _VOID_COLOR:
+            pts = " ".join(f"{x:.2f},{y:.2f}"
+                           for x, y in coords[mesh.elements[e]])
+            lines.append(f'<polygon points="{pts}" fill="{color}"/>')
+    verts = mesh.nodes[mesh.elements]
+    pv = pressure[mesh.elements]
+    centers, pc = verts.mean(axis=1), pv.mean(axis=1)
+    segments = []
+    for level in np.linspace(pressure.min(), pressure.max(),
+                             n_isolines + 2)[1:-1]:
+        for k in range(6):
+            k2 = (k + 1) % 6
+            xy = np.stack([centers, verts[:, k], verts[:, k2]], axis=1)
+            p = np.stack([pc, pv[:, k], pv[:, k2]], axis=1)
+            for idx in np.flatnonzero((p > level).sum(axis=1) % 3 != 0):
+                pts = []
+                for a, b in ((0, 1), (1, 2), (2, 0)):
+                    pa, pb = p[idx, a], p[idx, b]
+                    if (pa > level) != (pb > level):
+                        t = (level - pa) / (pb - pa)
+                        pts.append(xy[idx, a] + t * (xy[idx, b] - xy[idx, a]))
+                segments.append(pts)
+    for (x0, y0), (x1, y1) in segments:
+        lines.append(
+            f'<line x1="{x0 * scale:.2f}" y1="{height_px - y0 * scale:.2f}" '
+            f'x2="{x1 * scale:.2f}" y2="{height_px - y1 * scale:.2f}" '
+            f'stroke="#1f77b4" stroke-width="0.6"/>')
+    return lines
+
+
+class TestBulkFormatting:
+    """The bulk writers give the same bytes as one f-string per value."""
+
+    def test_same_text_as_per_value_formatting(self, small_result, tmp_path):
+        mesh, design = small_result.mesh, small_result.design
+        rng = np.random.default_rng(8)
+        design = make_uniform_design(mesh, [0.5, 0.5])
+        design.raw = rng.uniform(0.0, 1.0, design.raw.shape) ** 3
+        design.raw[0, 0] = -0.0
+        design.filtered = rng.uniform(0.0, 1.0, design.filtered.shape)
+        p = small_result.pressure.p
+        u = rng.normal(size=2 * mesh.n_nodes) * 1e-7
+
+        write_design_csv(tmp_path / "d.csv", design)
+        reference_design_csv(tmp_path / "r.csv", design)
+        assert (tmp_path / "d.csv").read_bytes() \
+            == (tmp_path / "r.csv").read_bytes()
+        assert np.array_equal(np.loadtxt(tmp_path / "d.csv", delimiter=",",
+                                         skiprows=1)[:, 1:], design.raw)
+
+        write_vtk_polydata(tmp_path / "v.vtk", mesh, design, p, u)
+        want = reference_vtk_blocks(mesh, design, p, u)
+        got = [line for line in Path(tmp_path / "v.vtk").read_text()
+               .splitlines() if line[:1].isdigit() or line[:1] == "-"]
+        assert got == want
+
+        write_material_svg(tmp_path / "s.svg", mesh, design, pressure=p)
+        got = [line for line in (tmp_path / "s.svg").read_text().splitlines()
+               if line.startswith(("<polygon", "<line"))]
+        assert got == reference_svg_shapes(mesh, design, p)
+        assert {"#000000", "#ff8c00"} <= {
+            line.split('fill="')[1][:7] for line in got if "fill" in line}
