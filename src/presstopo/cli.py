@@ -33,8 +33,8 @@ def build_parser():
                           f"({', '.join(builtin_config_names())})")
     run.add_argument("--output-dir", default=None)
     run.add_argument("--max-iters", type=int, default=None)
-    run.add_argument("--write-vtk", action="store_true", default=None)
-    run.add_argument("--write-svg", action="store_true", default=None)
+    run.add_argument("--write-vtk", action="store_true")
+    run.add_argument("--write-svg", action="store_true")
     run.add_argument("--log-every", type=int, default=None)
 
     val = sub.add_parser("validate", help="check a config file")
@@ -85,6 +85,10 @@ def _cmd_run(args):
         cfg.validate()
     if args.log_every is not None:
         cfg.log_every = args.log_every
+    if args.write_vtk:
+        cfg.write_vtk = True
+    if args.write_svg:
+        cfg.write_svg = True
     out_dir = args.output_dir or cfg.output_directory
     every = max(cfg.log_every, 1)
 
@@ -96,9 +100,7 @@ def _cmd_run(args):
                   f"dx={record.max_design_change:.4f}")
 
     result = driver.run_optimization(cfg, progress=progress)
-    written = outputs.write_outputs(
-        result, out_dir, write_vtk=args.write_vtk, write_svg=args.write_svg,
-    )
+    written = outputs.write_outputs(result, out_dir)
     print(f"done in {result.log.wall_time:.1f} s; wrote:")
     for path in written:
         print(f"  {path}")

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from . import darcy, fields
+from .errors import ConfigError, InvalidArgumentError
 
 _EDGES = ("left", "right", "bottom", "top")
 
@@ -71,24 +72,19 @@ class ProblemConfig:
             errors.append("element counts must be >= 1")
         if self.lx <= 0 or self.ly <= 0:
             errors.append("domain dimensions must be positive")
-        if not self.e_moduli or any(e <= 0 for e in self.e_moduli):
-            errors.append("young_moduli must be positive")
-        if list(self.e_moduli) != sorted(self.e_moduli) or (
-            len(set(self.e_moduli)) != len(self.e_moduli)
-        ):
-            errors.append("young_moduli must be strictly ascending")
         if len(self.volume_fractions) != len(self.e_moduli):
             errors.append("one volume fraction per candidate material is required")
         if any(f <= 0 for f in self.volume_fractions):
             errors.append("volume fractions must be positive")
         if sum(self.volume_fractions) > 1.0 + 1e-12:
             errors.append("volume fractions must sum to at most 1")
-        if not 0.0 <= self.nu < 0.5:
-            errors.append("poisson ratio must lie in [0, 0.5)")
-        if self.thickness <= 0:
-            errors.append("thickness must be positive")
-        if not 0.0 < self.flow_contrast < 1.0:
-            errors.append("flow contrast must lie in (0, 1)")
+        # the run's own constructors check the materials and the flow, and
+        # the drainage rule its inputs; any positive element height will do
+        for build in (self.materials, lambda: self.flow_params(1.0)):
+            try:
+                build()
+            except InvalidArgumentError as exc:
+                errors.append(str(exc))
         for edge in self.pressure_bc:
             if edge not in _EDGES:
                 errors.append(f"unknown pressure edge {edge!r}")
@@ -103,8 +99,10 @@ class ProblemConfig:
                 errors.append(f"support direction {s.directions!r} is not valid")
         if not self.supports:
             errors.append("at least one support is required")
-        if self.filter_radius_abs is None and self.filter_radius_elements <= 0:
-            errors.append("filter radius must be positive")
+        radius = (self.filter_radius_elements if self.filter_radius_abs is None
+                  else self.filter_radius_abs)
+        if not 0.0 < radius < np.inf:
+            errors.append("filter radius must be positive and finite")
         if self.max_iterations < 0:
             errors.append("max_iterations must be >= 0")
         if not 0.0 < self.move_limit <= 1.0:
@@ -112,6 +110,39 @@ class ProblemConfig:
         if errors:
             raise ConfigError("; ".join(errors))
         return self
+
+    def materials(self):
+        """The candidate materials of a run."""
+        return fields.MaterialSet(
+            e_moduli=self.e_moduli,
+            nu=self.nu,
+            thickness=self.thickness,
+            penalty=self.simp_penalty,
+        )
+
+    def flow_params(self, element_height):
+        """Flow parameters of a run on elements of ``element_height``.
+
+        Unless ``drainage_solid`` is given, the solid drainage follows the
+        penetration-depth rule (``darcy.penetration_drainage``).
+        """
+        flow = darcy.FlowParams(
+            k_void=self.void_flow_coefficient,
+            epsilon=self.flow_contrast,
+            eta_k=self.flow_eta,
+            beta_k=self.flow_beta,
+            eta_d=self.drain_eta,
+            beta_d=self.drain_beta,
+            d_solid=0.0,
+        )
+        d_solid = self.drainage_solid
+        if d_solid is None:
+            d_solid = darcy.penetration_drainage(
+                flow, element_height,
+                remainder=self.drainage_remainder,
+                depth_elements=self.drainage_depth_elements,
+            )
+        return replace(flow, d_solid=d_solid)
 
     @property
     def n_materials(self):

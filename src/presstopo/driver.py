@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,29 +76,8 @@ def build_problem(config):
     """Mesh, filter, materials, flow parameters, and supports from a config."""
     mesh = honeymesh.generate_mesh(config.nex, config.ney, config.lx, config.ly)
     filt = fields.build_filter(mesh, config.filter_radius)
-    materials = fields.MaterialSet(
-        e_moduli=config.e_moduli,
-        nu=config.nu,
-        thickness=config.thickness,
-        penalty=config.simp_penalty,
-    )
-    flow = darcy.FlowParams(
-        k_void=config.void_flow_coefficient,
-        epsilon=config.flow_contrast,
-        eta_k=config.flow_eta,
-        beta_k=config.flow_beta,
-        eta_d=config.drain_eta,
-        beta_d=config.drain_beta,
-        d_solid=0.0,
-    )
-    d_solid = config.drainage_solid
-    if d_solid is None:
-        d_solid = darcy.penetration_drainage(
-            flow, mesh.element_height,
-            remainder=config.drainage_remainder,
-            depth_elements=config.drainage_depth_elements,
-        )
-    flow = replace(flow, d_solid=d_solid)
+    materials = config.materials()
+    flow = config.flow_params(mesh.element_height)
     fixed_dofs = support_dofs(mesh, config.supports)
     return mesh, filt, materials, flow, fixed_dofs
 
@@ -151,6 +130,8 @@ def read_design_csv(path, n_elements, n_variables):
             f"initial design {path} has shape {data.shape}, expected "
             f"({n_elements}, {n_variables + 1})"
         )
+    if not np.isfinite(data).all():
+        raise ConfigError(f"initial design {path} has non-finite values")
     return np.clip(data[:, 1:], 0.0, 1.0)
 
 

@@ -10,7 +10,10 @@ densities:
     four-phase   E = ... + r1^p r2^p-nested selection of (E2, E3)
 
 All columns are smoothed by the same linear density filter H, a row-stochastic
-sparse matrix of conic weights over element centroids.
+sparse matrix of conic weights over element centroids.  The centroids sit on
+an integer lattice, so H is one translation-invariant stencil of weights,
+clipped at the mesh's edges and normalised per row.  The weights carry no
+element volume: all honeycomb elements have the same area, so it would cancel.
 """
 
 from __future__ import annotations
@@ -72,12 +75,14 @@ class MaterialSet:
 
 
 class FilterOperator:
-    """Row-stochastic density filter H built once per mesh and radius."""
+    """Row-stochastic density filter H built once per mesh and radius.
+
+    ``chain`` multiplies by ``H.T``, a CSC view of the same arrays.
+    """
 
     def __init__(self, matrix, r_fill):
         self.H = matrix.tocsr()
         self.r_fill = float(r_fill)
-        self._HT = self.H.T.tocsr()
 
     @property
     def n_elements(self):
@@ -97,67 +102,55 @@ class FilterOperator:
 
     def chain(self, d_filtered):
         """Back-propagated sensitivity H^T @ d_filtered, (n,) or (n, m)."""
-        return self._HT @ self._rows(d_filtered)
+        return self.H.T @ self._rows(d_filtered)
 
 
 def build_filter(mesh, r_fill) -> FilterOperator:
     """Density filter with conic weights w = max(0, 1 - d/r) over centroids.
 
-    Weights are volume-scaled and normalized row-wise, so constants are
-    preserved exactly.  Distances are evaluated from the mesh's integer
-    centroid lattice, which makes the weights of congruent element pairs
-    bitwise identical.  A radius too small to reach any neighbour degenerates
-    the filter to the identity (warned, not an error).
+    A column step moves a centroid 3 lattice half-steps in x and an odd
+    column sits one half-step higher, so every neighbour is at an offset
+    (dc, dky) of dc columns and dky half-steps in y with dky = dc (mod 2).
+    One stencil of these offsets and their weights, computed from the
+    integer offsets, serves every element, so congruent pairs get
+    bitwise-identical weights.  The stencil is clipped to the mesh's extent,
+    which bounds the per-element work for any radius.  In (dc, dky) order an
+    element's neighbours have ascending indices, so the CSR arrays are
+    written as found, canonical.  Rows are normalised by their sums, so
+    constants are preserved exactly.  There is no volume weight: every
+    element has the same area (``TestCongruence``), so it would cancel.  A
+    radius too small to reach any neighbour degenerates the filter to the
+    identity (warned, not an error).
     """
-    if r_fill <= 0:
-        raise InvalidArgumentError(f"filter radius must be positive, got {r_fill}")
-    nel = mesh.n_elements
+    if not 0.0 < r_fill < np.inf:
+        raise InvalidArgumentError(
+            f"filter radius must be positive and finite, got {r_fill}")
+    nex, ney = mesh.nex, mesh.ney
     sx, sy = mesh.lattice_scales()
-    volumes = mesh.element_areas()
-    col = mesh.element_cols
-    row = mesh.element_rows
-    ids = np.arange(nel)
+    max_dc = min(int(r_fill / (3.0 * sx)), nex - 1)
+    max_dky = min(int(r_fill / sy), 2 * ney - 1)
+    dc, dky = np.mgrid[-max_dc:max_dc + 1, -max_dky:max_dky + 1].reshape(2, -1)
+    dist = np.hypot(3.0 * dc * sx, dky * sy)
+    keep = ((dc - dky) % 2 == 0) & (dist < r_fill)
+    dc, dky = dc[keep].astype(np.int32), dky[keep].astype(np.int32)
+    weight = 1.0 - dist[keep] / r_fill
+    # the row step of each entry from an even (0) and from an odd (1) column
+    parity = np.arange(2, dtype=np.int32)[:, None]
+    drow = (dky + parity - ((parity + dc) & 1)) // 2
 
-    # centroid lattice pitch: columns differ by 3 in kx, rows by 2 in ky;
-    # a column-parity change shifts ky by one extra half-step.
-    max_di = int(r_fill / (3.0 * sx))
-    max_dj = int(r_fill / (2.0 * sy)) + 1
-
-    rows_out, cols_out, vals_out = [], [], []
-
-    def _add(source_mask, di, dj, weight):
-        sel = source_mask & (col + di >= 0) & (col + di < mesh.nex)
-        sel &= (row + dj >= 0) & (row + dj < mesh.ney)
-        src = ids[sel]
-        dst = src + di * mesh.ney + dj
-        rows_out.append(src)
-        cols_out.append(dst)
-        vals_out.append(weight * volumes[dst])
-
-    everywhere = np.ones(nel, dtype=bool)
-    for di in range(-max_di, max_di + 1):
-        dx = 3.0 * di * sx
-        for dj in range(-max_dj, max_dj + 1):
-            if di % 2 == 0:
-                dist = np.hypot(dx, 2.0 * dj * sy)
-                if dist < r_fill:
-                    _add(everywhere, di, dj, 1.0 - dist / r_fill)
-            else:
-                # moving to a column of opposite parity shifts ky by +-1
-                for parity in (0, 1):
-                    dky = 2 * dj + (1 - 2 * parity)
-                    dist = np.hypot(dx, dky * sy)
-                    if dist < r_fill:
-                        _add((col & 1) == parity, di, dj, 1.0 - dist / r_fill)
-
-    w_matrix = sp.coo_matrix(
-        (np.concatenate(vals_out),
-         (np.concatenate(rows_out), np.concatenate(cols_out))),
-        shape=(nel, nel),
-    ).tocsr()
-    row_sums = np.asarray(w_matrix.sum(axis=1)).ravel()
-    h = sp.diags(1.0 / row_sums) @ w_matrix
-    if h.nnz == nel:
+    # int32 is the CSR index type; it also halves the (elements x stencil)
+    # temporaries
+    col = mesh.element_cols.astype(np.int32)
+    to_col = col[:, None] + dc
+    to_row = mesh.element_rows.astype(np.int32)[:, None] + drow[col & 1]
+    inside = (to_col >= 0) & (to_col < nex) & (to_row >= 0) & (to_row < ney)
+    indices = (to_col * ney + to_row)[inside]
+    indptr = np.zeros(mesh.n_elements + 1, dtype=np.int32)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    data = np.broadcast_to(weight, inside.shape)[inside]
+    data /= np.repeat(np.add.reduceat(data, indptr[:-1]), np.diff(indptr))
+    h = sp.csr_matrix((data, indices, indptr), shape=(mesh.n_elements,) * 2)
+    if h.nnz == mesh.n_elements:
         warnings.warn(
             "filter radius smaller than the centroid spacing; "
             "the density filter degenerates to the identity",

@@ -19,11 +19,13 @@ _MATERIAL_COLORS = ["#000000", "#ff8c00", "#ffd700"]
 _VOID_COLOR = "#ffffff"
 
 
-def write_outputs(result, output_dir, write_vtk=None, write_svg=None):
-    """Write all result files for a finished run; returns the paths written."""
+def write_outputs(result, output_dir):
+    """Write all result files for a finished run; returns the paths written.
+
+    The VTK and SVG files are written as the run's config asks
+    (``write_vtk``, ``write_svg``).
+    """
     cfg = result.config
-    write_vtk = cfg.write_vtk if write_vtk is None else write_vtk
-    write_svg = cfg.write_svg if write_svg is None else write_svg
     out = Path(output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -34,12 +36,12 @@ def write_outputs(result, output_dir, write_vtk=None, write_svg=None):
         path = out / "design.csv"
         write_design_csv(path, result.design)
         written.append(path)
-        if write_vtk:
+        if cfg.write_vtk:
             path = out / "final.vtk"
             write_vtk_polydata(path, result.mesh, result.design,
                                result.pressure.p, result.elastic.u)
             written.append(path)
-        if write_svg:
+        if cfg.write_svg:
             path = out / "final.svg"
             write_material_svg(path, result.mesh, result.design,
                                pressure=result.pressure.p
@@ -109,56 +111,6 @@ def write_vtk_polydata(path, mesh, design, pressure=None, displacement=None):
         lines.append(_lines("%.17g %.17g 0",
                             displacement[:2 * mesh.n_nodes].reshape(-1, 2)))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_vtk_polydata(path):
-    """Parse a file written by ``write_vtk_polydata`` (round-trip checks)."""
-    lines = Path(path).read_text().splitlines()
-    i = 0
-    points = cells = None
-    cell_data = {}
-    point_data = {}
-    n_points = n_cells = 0
-    section = None
-    while i < len(lines):
-        parts = lines[i].split()
-        if not parts:
-            i += 1
-            continue
-        key = parts[0]
-        if key == "POINTS":
-            n_points = int(parts[1])
-            points = np.array(
-                [lines[i + 1 + k].split() for k in range(n_points)], float
-            )[:, :2]
-            i += n_points + 1
-        elif key == "POLYGONS":
-            n_cells = int(parts[1])
-            cells = np.array(
-                [lines[i + 1 + k].split()[1:] for k in range(n_cells)], int
-            )
-            i += n_cells + 1
-        elif key == "CELL_DATA":
-            section = "cell"
-            i += 1
-        elif key == "POINT_DATA":
-            section = "point"
-            i += 1
-        elif key == "SCALARS":
-            count = n_cells if section == "cell" else n_points
-            values = np.array(lines[i + 2:i + 2 + count], float)
-            (cell_data if section == "cell" else point_data)[parts[1]] = values
-            i += count + 2
-        elif key == "VECTORS":
-            count = n_cells if section == "cell" else n_points
-            values = np.array(
-                [lines[i + 1 + k].split() for k in range(count)], float
-            )[:, :2]
-            (cell_data if section == "cell" else point_data)[parts[1]] = values
-            i += count + 1
-        else:
-            i += 1
-    return points, cells, cell_data, point_data
 
 
 def write_material_svg(path, mesh, design, pressure=None, width_px=900,

@@ -88,6 +88,32 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, option, value", [
+        ("materials", "simp_penalty", "-3"),
+        ("filter", "radius_abs", "-0.01"),
+        ("flow", "drainage_solid", "-1"),
+        ("flow", "step_eta", "1.5"),
+        ("flow", "void_coefficient", "0"),
+        ("flow", "drain_beta", "-2"),
+        ("flow", "drainage_remainder", "2"),
+        ("flow", "drainage_depth", "0"),
+    ])
+    def test_solver_rejected_value_is_config_error(self, tmp_path, capsys,
+                                                   section, option, value):
+        # the parser takes the value; the run's materials, flow parameters or
+        # filter reject it
+        header = f"[{section}]"
+        if header in TINY_CONFIG:
+            text = TINY_CONFIG.replace(header, f"{header}\n{option} = {value}")
+        else:
+            text = TINY_CONFIG + f"\n{header}\n{option} = {value}\n"
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "solver error" not in capsys.readouterr().err
+
     def test_builtin_names_resolve(self):
         assert set(builtin_config_names()) == {
             "arch-2mat", "arch-3mat", "piston-2mat", "piston-3mat"}

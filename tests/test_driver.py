@@ -177,6 +177,10 @@ class TestConfigValidation:
         assert cfg.filter_radius == pytest.approx(3.0 * cfg.lx / 10)
         cfg = arch_config(filter_radius_abs=0.004)
         assert cfg.filter_radius == 0.004
+        for radius in ({"filter_radius_abs": np.nan},
+                       {"filter_radius_elements": np.inf}):
+            with pytest.raises(ConfigError, match="filter radius"):
+                arch_config(**radius)
 
 
 class TestDesignRestart:
@@ -195,3 +199,12 @@ class TestDesignRestart:
         path.write_text("element,rho1\n0,0.5\n")
         with pytest.raises(ConfigError):
             driver.read_design_csv(path, 10, 1)
+
+    def test_restart_non_finite_names_file(self, tmp_path):
+        path = tmp_path / "design.csv"
+        rows = [f"{e},0.2,0.5" for e in range(20)]
+        rows[7] = "7,nan,0.5"
+        path.write_text("element,rho1,rho2\n" + "\n".join(rows) + "\n")
+        cfg = arch_config(nex=5, ney=4, initial_design=str(path))
+        with pytest.raises(ConfigError, match="design.csv"):
+            driver.run_optimization(cfg)

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presstopo import (
     DesignField,
@@ -47,6 +51,11 @@ class TestFilter:
             f = build_filter(mesh, 1e-9)
         x = np.random.default_rng(0).uniform(size=mesh.n_elements)
         assert np.array_equal(f.apply(x), x)
+
+    @pytest.mark.parametrize("r", [0.0, -0.1, np.nan, np.inf])
+    def test_radius_positive_and_finite(self, mesh, r):
+        with pytest.raises(InvalidArgumentError, match="filter radius"):
+            build_filter(mesh, r)
 
     def test_rows_sum_to_one(self, filt, mesh):
         ones = np.ones(mesh.n_elements)
@@ -111,6 +120,39 @@ class TestFilter:
         rng = np.random.default_rng(4)
         s = rng.normal(size=mesh.n_elements)
         assert np.abs(filt.chain(s) - h_dense.T @ s).max() < 1e-13
+
+
+@st.composite
+def filter_problems(draw):
+    """A random mesh (independent lx, ly) and a radius of 0.3-6 columns."""
+    nex = draw(st.integers(1, 12))
+    ney = draw(st.integers(1, 8))
+    lx = draw(st.floats(0.05, 2.0))
+    ly = draw(st.floats(0.05, 2.0))
+    columns = draw(st.floats(0.3, 6.0))
+    return generate_mesh(nex, ney, lx, ly), columns * lx / nex
+
+
+class TestFilterProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(filter_problems())
+    def test_matches_brute_force(self, problem):
+        mesh, r = problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            f = build_filter(mesh, r)
+        h_dense = brute_force_filter(mesh, r)
+        assert f.H.has_canonical_format
+        h = f.H.toarray()
+        assert np.abs(h - h_dense).max() < 1e-13
+        assert np.abs(h.sum(axis=1) - 1.0).max() < 1e-13
+        cents = mesh.element_centroids()
+        d = cents[:, None, :] - cents[None, :, :]
+        assert not np.any(h[np.hypot(d[..., 0], d[..., 1]) >= r])
+        s = np.random.default_rng(mesh.n_elements).normal(
+            size=(mesh.n_elements, 3))
+        assert np.abs(f.chain(s) - h_dense.T @ s).max() < 1e-13
+        assert np.abs(f.chain(s[:, 0]) - h_dense.T @ s[:, 0]).max() < 1e-13
 
 
 class TestDesignField:

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,6 @@ from presstopo.fields import material_phase_densities
 from presstopo.outputs import (
     _VOID_COLOR,
     _MATERIAL_COLORS,
-    read_vtk_polydata,
     write_design_csv,
     write_material_svg,
     write_outputs,
@@ -17,6 +17,56 @@ from presstopo.outputs import (
 )
 
 from conftest import arch_config, make_uniform_design
+
+
+def read_vtk_polydata(path):
+    """Parse a file written by ``write_vtk_polydata`` (round-trip checks)."""
+    lines = Path(path).read_text().splitlines()
+    i = 0
+    points = cells = None
+    cell_data = {}
+    point_data = {}
+    n_points = n_cells = 0
+    section = None
+    while i < len(lines):
+        parts = lines[i].split()
+        if not parts:
+            i += 1
+            continue
+        key = parts[0]
+        if key == "POINTS":
+            n_points = int(parts[1])
+            points = np.array(
+                [lines[i + 1 + k].split() for k in range(n_points)], float
+            )[:, :2]
+            i += n_points + 1
+        elif key == "POLYGONS":
+            n_cells = int(parts[1])
+            cells = np.array(
+                [lines[i + 1 + k].split()[1:] for k in range(n_cells)], int
+            )
+            i += n_cells + 1
+        elif key == "CELL_DATA":
+            section = "cell"
+            i += 1
+        elif key == "POINT_DATA":
+            section = "point"
+            i += 1
+        elif key == "SCALARS":
+            count = n_cells if section == "cell" else n_points
+            values = np.array(lines[i + 2:i + 2 + count], float)
+            (cell_data if section == "cell" else point_data)[parts[1]] = values
+            i += count + 2
+        elif key == "VECTORS":
+            count = n_cells if section == "cell" else n_points
+            values = np.array(
+                [lines[i + 1 + k].split() for k in range(count)], float
+            )[:, :2]
+            (cell_data if section == "cell" else point_data)[parts[1]] = values
+            i += count + 1
+        else:
+            i += 1
+    return points, cells, cell_data, point_data
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +159,8 @@ class TestWriteOutputs:
             assert p.exists() and p.stat().st_size > 0
 
     def test_flags_disable_files(self, small_result, tmp_path):
-        written = write_outputs(small_result, tmp_path, write_vtk=False,
-                                write_svg=False)
+        cfg = replace(small_result.config, write_vtk=False, write_svg=False)
+        written = write_outputs(replace(small_result, config=cfg), tmp_path)
         names = {p.name for p in written}
         assert names == {"convergence.csv", "design.csv"}
 
