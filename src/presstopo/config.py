@@ -68,14 +68,14 @@ class ProblemConfig:
 
     def validate(self):
         errors = []
-        if self.nex < 1 or self.ney < 1:
-            errors.append("element counts must be >= 1")
-        if self.lx <= 0 or self.ly <= 0:
-            errors.append("domain dimensions must be positive")
+        if not all(1 <= n < np.inf and int(n) == n for n in (self.nex, self.ney)):
+            errors.append("element counts must be integers >= 1")
+        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
+            errors.append("domain dimensions must be positive and finite")
         if len(self.volume_fractions) != len(self.e_moduli):
             errors.append("one volume fraction per candidate material is required")
-        if any(f <= 0 for f in self.volume_fractions):
-            errors.append("volume fractions must be positive")
+        if not all(0 < f < np.inf for f in self.volume_fractions):
+            errors.append("volume fractions must be positive and finite")
         if sum(self.volume_fractions) > 1.0 + 1e-12:
             errors.append("volume fractions must sum to at most 1")
         # the run's own constructors check the materials and the flow, and
@@ -85,9 +85,11 @@ class ProblemConfig:
                 build()
             except InvalidArgumentError as exc:
                 errors.append(str(exc))
-        for edge in self.pressure_bc:
+        for edge, value in self.pressure_bc.items():
             if edge not in _EDGES:
                 errors.append(f"unknown pressure edge {edge!r}")
+            if not np.isfinite(value):
+                errors.append(f"pressure on edge {edge!r} must be finite")
         if not self.pressure_bc:
             errors.append("at least one pressure boundary edge is required")
         for s in self.supports:
@@ -103,10 +105,13 @@ class ProblemConfig:
                   else self.filter_radius_abs)
         if not 0.0 < radius < np.inf:
             errors.append("filter radius must be positive and finite")
-        if self.max_iterations < 0:
-            errors.append("max_iterations must be >= 0")
+        if not (0 <= self.max_iterations < np.inf
+                and int(self.max_iterations) == self.max_iterations):
+            errors.append("max_iterations must be an integer >= 0")
         if not 0.0 < self.move_limit <= 1.0:
             errors.append("move_limit must lie in (0, 1]")
+        if not np.isfinite(self.step_tolerance):
+            errors.append("step_tolerance must be finite")
         if errors:
             raise ConfigError("; ".join(errors))
         return self

@@ -55,15 +55,17 @@ class FlowParams:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidArgumentError(f"flow contrast must be in (0,1): {self.epsilon}")
-        if self.k_void <= 0:
-            raise InvalidArgumentError("void flow coefficient must be positive")
-        if self.beta_k < 0 or self.beta_d < 0:
-            raise InvalidArgumentError("step slopes must be non-negative")
+        if not 0 < self.k_void < np.inf:
+            raise InvalidArgumentError(
+                "void flow coefficient must be positive and finite")
+        if not (0 <= self.beta_k < np.inf and 0 <= self.beta_d < np.inf):
+            raise InvalidArgumentError("step slopes must be non-negative and finite")
         for eta in (self.eta_k, self.eta_d):
             if not 0.0 < eta < 1.0:
                 raise InvalidArgumentError(f"step position must be in (0,1): {eta}")
-        if self.d_solid < 0:
-            raise InvalidArgumentError("solid drainage coefficient must be >= 0")
+        if not 0 <= self.d_solid < np.inf:
+            raise InvalidArgumentError(
+                "solid drainage coefficient must be >= 0 and finite")
 
     @property
     def k_solid(self):
@@ -124,8 +126,8 @@ def penetration_drainage(params: FlowParams, element_height,
     if not 0.0 < remainder < 1.0:
         raise InvalidArgumentError("remainder must be in (0,1)")
     ds = depth_elements * element_height
-    if ds <= 0:
-        raise InvalidArgumentError("penetration depth must be positive")
+    if not 0 < ds < np.inf:
+        raise InvalidArgumentError("penetration depth must be positive and finite")
     return (np.log(remainder) / ds) ** 2 * params.k_solid
 
 

@@ -214,6 +214,8 @@ def run_optimization(config, progress=None):
         if progress is not None:
             progress(it, record)
         raw = x_new.reshape((nel, m), order="F")
+        # free this state (K, A and the LU of A_ff) before the next analysis
+        del estate
         if config.step_tolerance > 0 and max_dx < config.step_tolerance:
             break
 

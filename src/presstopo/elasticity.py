@@ -49,8 +49,8 @@ def element_stiffness(element_vertices, e_modulus, nu, thickness):
     three rigid-body modes in its null space (Wachspress linear completeness
     makes rotation strain-free pointwise).
     """
-    if e_modulus <= 0:
-        raise InvalidArgumentError("Young's modulus must be positive")
+    if not 0 < e_modulus < np.inf:
+        raise InvalidArgumentError("Young's modulus must be positive and finite")
     if not 0.0 <= nu < 0.5:
         raise InvalidArgumentError(f"Poisson ratio out of range: {nu}")
     weights, _, grads = element_quadrature(element_vertices)

@@ -56,14 +56,15 @@ class MaterialSet:
     def __post_init__(self):
         e = tuple(float(x) for x in self.e_moduli)
         object.__setattr__(self, "e_moduli", e)
-        if not e or any(x <= 0 for x in e):
-            raise InvalidArgumentError("Young's moduli must be positive")
+        if not e or not all(0 < x < np.inf for x in e):
+            raise InvalidArgumentError("Young's moduli must be positive and finite")
         if any(a >= b for a, b in zip(e, e[1:])):
             raise InvalidArgumentError("Young's moduli must be strictly ascending")
         if not 0.0 <= self.nu < 0.5:
             raise InvalidArgumentError(f"Poisson ratio out of range: {self.nu}")
-        if self.thickness <= 0 or self.penalty <= 0:
-            raise InvalidArgumentError("thickness and penalty must be positive")
+        if not (0 < self.thickness < np.inf and 0 < self.penalty < np.inf):
+            raise InvalidArgumentError(
+                "thickness and penalty must be positive and finite")
 
     @property
     def e_min(self):
@@ -183,8 +184,10 @@ class DesignField:
         self.element_volumes = np.asarray(self.element_volumes, dtype=float)
         if self.element_volumes.shape != (self.raw.shape[0],):
             raise InvalidArgumentError("element volume vector has wrong length")
-        if np.any(self.element_volumes <= 0):
-            raise InvalidArgumentError("element volumes must be positive")
+        if not np.all((self.element_volumes > 0)
+                      & (self.element_volumes < np.inf)):
+            raise InvalidArgumentError(
+                "element volumes must be positive and finite")
 
     @property
     def n_elements(self):

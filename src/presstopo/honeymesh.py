@@ -4,7 +4,7 @@ The mesh is a structured honeycomb: ``nex`` columns of ``ney`` hexagons each.
 Hexagons have two horizontal (flat) edges and pointed left/right vertices;
 odd columns are shifted up by half an element height so that neighbouring
 columns interlock edge-to-edge.  All nodes live on an integer half-step
-lattice, which makes node de-duplication and symmetry pairings exact.
+lattice, which makes node numbering and symmetry pairings exact.
 
 The whole tessellation is scaled anisotropically so its bounding box is
 exactly ``Lx x Ly``; elements are congruent translates of one template
@@ -55,39 +55,52 @@ class QuadratureRule:
 
 
 class Mesh:
-    """Immutable honeycomb mesh of a rectangular domain.
+    """Immutable honeycomb mesh of ``nex x ney`` hexagons on ``[0,Lx]x[0,Ly]``.
+
+    Built in one pass over the half-step lattice: element (c, r) is centred
+    at lattice point (3c+2, 2r+1+(c&1)) and its vertices are that point plus
+    ``_VERTEX_OFFSETS``.  The vertex points are marked on a dense grid of the
+    lattice, and the nodes are the marked points in row-major (kx, ky) order.
 
     Attributes
     ----------
     nodes : (n_nodes, 2) float array of coordinates in metres.
-    elements : (n_elements, 6) int array, counter-clockwise connectivity.
+    elements : (n_elements, 6) int64 array, counter-clockwise connectivity.
+    node_lattice : (n_nodes, 2) int64 lattice point of each node.
+    element_cols, element_rows : column and row of each element.
     nex, ney : element counts in x (columns) and y (per column).
     Lx, Ly : bounding-box dimensions in metres.
     boundary_node_sets : dict with keys 'left', 'right', 'bottom', 'top'.
     """
 
-    def __init__(self, nodes, elements, nex, ney, lx, ly, node_lattice,
-                 element_cols, element_rows):
-        self.nodes = nodes
-        self.elements = elements
-        self.nex = int(nex)
-        self.ney = int(ney)
-        self.Lx = float(lx)
-        self.Ly = float(ly)
-        self.node_lattice = node_lattice
-        self.element_cols = element_cols
-        self.element_rows = element_rows
-        kx_max = int(node_lattice[:, 0].max())
-        ky_max = int(node_lattice[:, 1].max())
-        self._half_step = (lx / kx_max, ly / ky_max)
+    def __init__(self, nex, ney, lx, ly):
+        self.nex, self.ney = int(nex), int(ney)
+        self.Lx, self.Ly = float(lx), float(ly)
+        cols = np.repeat(np.arange(self.nex, dtype=np.int64), self.ney)
+        rows = np.tile(np.arange(self.ney, dtype=np.int64), self.nex)
+        self.element_cols, self.element_rows = cols, rows
+        self._centroid_lattice = np.column_stack(
+            [3 * cols + 2, 2 * rows + 1 + (cols & 1)])
+        kx = self._centroid_lattice[:, :1] + _VERTEX_OFFSETS[:, 0]
+        ky = self._centroid_lattice[:, 1:] + _VERTEX_OFFSETS[:, 1]
+        grid = np.zeros((3 * self.nex + 2, 2 * self.ney + 2), dtype=bool)
+        grid[kx, ky] = True
+        self.node_lattice = np.argwhere(grid)
+        number = np.cumsum(grid, dtype=np.int64).reshape(grid.shape) - 1
+        self.elements = number[kx, ky]
+
+        kx_max, ky_max = self.node_lattice.max(axis=0).tolist()
+        self._half_step = (self.Lx / kx_max, self.Ly / ky_max)
+        self.nodes = self.node_lattice * np.array(self._half_step)
         self.boundary_node_sets = {
-            "left": np.flatnonzero(node_lattice[:, 0] == 0),
-            "right": np.flatnonzero(node_lattice[:, 0] == kx_max),
-            "bottom": np.flatnonzero(node_lattice[:, 1] == 0),
-            "top": np.flatnonzero(node_lattice[:, 1] == ky_max),
+            "left": np.flatnonzero(self.node_lattice[:, 0] == 0),
+            "right": np.flatnonzero(self.node_lattice[:, 0] == kx_max),
+            "bottom": np.flatnonzero(self.node_lattice[:, 1] == 0),
+            "top": np.flatnonzero(self.node_lattice[:, 1] == ky_max),
         }
         for arr in (self.nodes, self.elements, self.node_lattice,
-                    self.element_cols, self.element_rows):
+                    self.element_cols, self.element_rows,
+                    self._centroid_lattice):
             arr.setflags(write=False)
         self._cache = {}
 
@@ -115,14 +128,7 @@ class Mesh:
 
     def element_centroids(self):
         """Centroids of all elements, (n_elements, 2)."""
-        if "centroids" not in self._cache:
-            sx, sy = self._half_step
-            kx = 3 * self.element_cols + 2
-            ky = 2 * self.element_rows + 1 + (self.element_cols & 1)
-            cen = np.column_stack([kx * sx, ky * sy])
-            cen.setflags(write=False)
-            self._cache["centroids"] = cen
-        return self._cache["centroids"]
+        return self._centroid_lattice * np.array(self._half_step)
 
     def lattice_scales(self):
         """Physical size of one lattice half-step in x and y."""
@@ -157,29 +163,13 @@ def generate_mesh(nex, ney, lx, ly):
     scaled so the tessellation's bounding box is exactly ``Lx x Ly``.  Boundary
     node sets are the nodes lying on the bounding box.
     """
-    if int(nex) != nex or int(ney) != ney or nex < 1 or ney < 1:
-        raise InvalidArgumentError(f"element counts must be >= 1, got {nex}x{ney}")
-    if lx <= 0 or ly <= 0:
-        raise InvalidArgumentError(f"domain dimensions must be positive, got {lx}x{ly}")
-    nex, ney = int(nex), int(ney)
-
-    cols = np.repeat(np.arange(nex, dtype=np.int64), ney)
-    rows = np.tile(np.arange(ney, dtype=np.int64), nex)
-    kyc = 2 * rows + 1 + (cols & 1)
-    kxc = 3 * cols + 2
-
-    kx = kxc[:, None] + _VERTEX_OFFSETS[:, 0][None, :]
-    ky = kyc[:, None] + _VERTEX_OFFSETS[:, 1][None, :]
-    keys = np.column_stack([kx.ravel(), ky.ravel()])
-    lattice, inverse = np.unique(keys, axis=0, return_inverse=True)
-    elements = inverse.reshape(-1, 6).astype(np.int64)
-
-    kx_max = lattice[:, 0].max()
-    ky_max = lattice[:, 1].max()
-    nodes = np.column_stack(
-        [lattice[:, 0] * (lx / kx_max), lattice[:, 1] * (ly / ky_max)]
-    )
-    return Mesh(nodes, elements, nex, ney, lx, ly, lattice, cols, rows)
+    if not all(1 <= n < np.inf and int(n) == n for n in (nex, ney)):
+        raise InvalidArgumentError(
+            f"element counts must be integers >= 1, got {nex}x{ney}")
+    if not (0 < lx < np.inf and 0 < ly < np.inf):
+        raise InvalidArgumentError(
+            f"domain dimensions must be positive and finite, got {lx}x{ly}")
+    return Mesh(nex, ney, lx, ly)
 
 
 def _check_convex(vertices):

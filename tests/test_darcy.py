@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -116,6 +118,12 @@ class TestFlowCoefficients:
         with pytest.raises(InvalidArgumentError):
             FlowParams(d_solid=-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(FlowParams)])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(InvalidArgumentError):
+            FlowParams(**{name: value})
+
 
 class TestPenetrationRule:
     def test_decay_rate(self):
@@ -124,6 +132,13 @@ class TestPenetrationRule:
                                   remainder=0.1, depth_elements=2.0)
         rate = np.sqrt(ds / params.k_solid)
         assert rate == pytest.approx(-np.log(0.1) / 0.02, rel=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [{"remainder": np.nan},
+                                        {"depth_elements": np.nan},
+                                        {"depth_elements": np.inf}])
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(InvalidArgumentError):
+            penetration_drainage(FlowParams(), 0.01, **kwargs)
 
 
 class TestAssembly:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,25 @@ class TestRunOptimization:
             driver.run_optimization(cfg)
 
 
+class TestStateLifetime:
+    def test_previous_state_freed_before_next_analysis(self, monkeypatch):
+        analyze = driver.analyze
+        refs = []
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in refs)
+            state = analyze(*args, **kwargs)
+            refs.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(driver, "analyze", tracked)
+        result = driver.run_optimization(
+            arch_config(nex=5, ney=4, max_iterations=3))
+        # three iterations and the final analysis, whose state is returned
+        assert len(refs) == 4
+        assert refs[-1]() is result.elastic
+
+
 class TestConfigValidation:
     def test_volume_fraction_count_mismatch(self):
         with pytest.raises(ConfigError):
@@ -181,6 +202,34 @@ class TestConfigValidation:
                        {"filter_radius_elements": np.inf}):
             with pytest.raises(ConfigError, match="filter radius"):
                 arch_config(**radius)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", [
+        "lx", "ly", "thickness", "nu", "simp_penalty", "flow_contrast",
+        "flow_eta", "flow_beta", "drain_eta", "drain_beta",
+        "void_flow_coefficient", "drainage_solid", "drainage_remainder",
+        "drainage_depth_elements", "filter_radius_elements",
+        "filter_radius_abs", "move_limit", "step_tolerance"])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            arch_config(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("overrides", [
+        lambda v: {"volume_fractions": (v, 0.1)},
+        lambda v: {"e_moduli": (40e6, v)},
+        lambda v: {"pressure_bc": {"top": v, "bottom": 0.0}},
+        lambda v: {"pressure_bc": {"top": 1e5, "bottom": v}},
+        lambda v: {"supports": (SupportSpec("bottom", v, 0.2),)},
+        lambda v: {"supports": (SupportSpec("bottom", 0.0, v),)},
+        lambda v: {"nex": v},
+        lambda v: {"ney": v},
+        lambda v: {"max_iterations": v},
+    ], ids=["fraction", "modulus", "inlet", "outlet", "support_lo",
+            "support_hi", "nex", "ney", "max_iterations"])
+    def test_non_finite_value_rejected(self, overrides, value):
+        with pytest.raises(ConfigError):
+            arch_config(**overrides(value))
 
 
 class TestDesignRestart:

@@ -164,6 +164,14 @@ class TestDesignField:
             DesignField(raw=raw, filtered=filt.apply(raw),
                         element_volumes=mesh.element_areas())
 
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+    def test_bad_volume_rejected(self, mesh, value):
+        raw = np.full((mesh.n_elements, 2), 0.5)
+        volumes = mesh.element_areas()
+        volumes[3] = value
+        with pytest.raises(InvalidArgumentError, match="volume"):
+            DesignField(raw=raw, filtered=raw, element_volumes=volumes)
+
 
 class TestMaterialSet:
     def test_e_min_rule(self):
@@ -179,6 +187,18 @@ class TestMaterialSet:
     def test_rejects_bad_poisson(self):
         with pytest.raises(InvalidArgumentError):
             MaterialSet(e_moduli=(1e6,), nu=0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("overrides", [
+        lambda v: {"thickness": v},
+        lambda v: {"penalty": v},
+        lambda v: {"nu": v},
+        lambda v: {"e_moduli": (40e6, v)},
+        lambda v: {"e_moduli": (v, 100e6)},
+    ], ids=["thickness", "penalty", "nu", "stiffest", "softest"])
+    def test_rejects_non_finite(self, overrides, value):
+        with pytest.raises(InvalidArgumentError):
+            MaterialSet(**{"e_moduli": (40e6, 100e6), **overrides(value)})
 
 
 class TestInterpolation:
@@ -336,3 +356,43 @@ class TestPhaseDensities:
         r = rng.uniform(0, 1, size=(50, 3))
         out = material_phase_densities(r)
         assert np.abs(out.sum(axis=1) - r[:, 0]).max() < 1e-12
+
+
+@st.composite
+def material_designs(draw):
+    """Ascending moduli, a penalty and rows of filtered design variables."""
+    m = draw(st.integers(1, 4))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=m, max_size=m))
+    e_moduli = draw(st.floats(1e3, 1e9)) * np.cumprod(1.0 + np.asarray(steps))
+    penalty = draw(st.floats(1.0, 5.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = np.random.default_rng(seed).uniform(0.0, 1.0, size=(30, m))
+    rows[:10] = np.round(rows[:10])  # pure phases and mixes of 0 and 1
+    return MaterialSet(e_moduli=tuple(e_moduli), penalty=penalty), rows
+
+
+class TestInterpolationProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(material_designs(), st.data())
+    def test_bounded_and_monotone(self, problem, data):
+        mats, rows = problem
+        e = interpolate_modulus(rows, mats)
+        top = max(mats.e_moduli)
+        # round-off of (1 - r^p) a + r^p b: a few ulps of the largest modulus
+        ulps = 1e-14 * top
+        assert np.all(e >= mats.e_min - ulps)
+        assert np.all(e <= top + ulps)
+        j = data.draw(st.integers(0, mats.n_materials - 1))
+        higher = rows.copy()
+        higher[:, j] = rows[:, j] + (1.0 - rows[:, j]) * data.draw(
+            st.floats(0.0, 1.0))
+        assert np.all(interpolate_modulus(higher, mats) >= e - ulps)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(material_designs())
+    def test_phase_densities_partition_topology(self, problem):
+        _, rows = problem
+        phases = material_phase_densities(rows)
+        assert phases.shape == rows.shape
+        assert np.all((phases >= 0.0) & (phases <= 1.0))
+        assert np.abs(phases.sum(axis=1) - rows[:, 0]).max() < 1e-15

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presstopo import (
     GeometryError,
@@ -100,7 +102,9 @@ class TestGenerateMesh:
 
     @pytest.mark.parametrize(
         "args", [(0, 5, 1.0, 1.0), (5, 0, 1.0, 1.0), (5, 5, 0.0, 1.0),
-                 (5, 5, 1.0, -2.0)]
+                 (5, 5, 1.0, -2.0), (3, 2, np.nan, 1.0), (3, 2, 1.0, np.inf),
+                 (3, 2, np.inf, 1.0), (3, 2, 1.0, np.nan), (np.nan, 2, 1.0, 1.0),
+                 (3, np.inf, 1.0, 1.0), (2.5, 2, 1.0, 1.0)]
     )
     def test_invalid_arguments(self, args):
         with pytest.raises(InvalidArgumentError):
@@ -126,6 +130,52 @@ class TestGenerateMesh:
         mesh = generate_mesh(4, 3, 1.0, 0.6)
         with pytest.raises(MeshError):
             mesh.mirror_element_pairs()
+
+
+def unique_numbered_mesh(nex, ney, lx, ly):
+    """Oracle: number the nodes by sorting every element's vertex keys.
+
+    Returns nodes, elements, node lattice, boundary sets and centroids.
+    """
+    cols = np.repeat(np.arange(nex), ney)
+    rows = np.tile(np.arange(ney), nex)
+    kxc = 3 * cols + 2
+    kyc = 2 * rows + 1 + (cols & 1)
+    offsets = np.array([[2, 0], [1, 1], [-1, 1], [-2, 0], [-1, -1], [1, -1]])
+    keys = np.column_stack([(kxc[:, None] + offsets[:, 0]).ravel(),
+                            (kyc[:, None] + offsets[:, 1]).ravel()])
+    lattice, inverse = np.unique(keys, axis=0, return_inverse=True)
+    elements = inverse.reshape(-1, 6).astype(np.int64)
+    kx_max, ky_max = lattice.max(axis=0)
+    sx, sy = lx / kx_max, ly / ky_max
+    nodes = np.column_stack([lattice[:, 0] * sx, lattice[:, 1] * sy])
+    sets = {
+        "left": np.flatnonzero(lattice[:, 0] == 0),
+        "right": np.flatnonzero(lattice[:, 0] == kx_max),
+        "bottom": np.flatnonzero(lattice[:, 1] == 0),
+        "top": np.flatnonzero(lattice[:, 1] == ky_max),
+    }
+    centroids = np.column_stack([kxc * sx, kyc * sy])
+    return nodes, elements, lattice, sets, centroids
+
+
+class TestMeshProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 40), st.integers(1, 30), st.floats(1e-3, 10.0),
+           st.floats(1e-3, 10.0))
+    def test_matches_sorted_numbering(self, nex, ney, lx, ly):
+        mesh = generate_mesh(nex, ney, lx, ly)
+        nodes, elements, lattice, sets, centroids = unique_numbered_mesh(
+            nex, ney, lx, ly)
+        assert mesh.elements.dtype == np.int64
+        assert mesh.elements.flags.c_contiguous
+        assert np.array_equal(mesh.elements, elements)
+        assert np.array_equal(mesh.node_lattice, lattice)
+        assert np.array_equal(mesh.nodes, nodes)
+        assert np.array_equal(mesh.element_centroids(), centroids)
+        assert mesh.boundary_node_sets.keys() == sets.keys()
+        for key, expected in sets.items():
+            assert np.array_equal(mesh.boundary_node_sets[key], expected)
 
 
 def _congruence_meshes():

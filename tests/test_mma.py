@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presstopo import InvalidArgumentError, OptimizerError
 from presstopo.mma import _DUAL_TOL, MmaState, mma_update
@@ -171,3 +173,24 @@ class TestAsymptoteAdaptation:
             spans.append(
                 (state.upper_asymptotes - state.lower_asymptotes).mean())
         assert spans[4] > spans[2]
+
+
+class TestStepProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 60), st.integers(0, 3), st.floats(0.01, 1.0),
+           st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_steps_stay_in_box_and_move_limit(self, n, m, move, steps, seed):
+        rng = np.random.default_rng(seed)
+        state = MmaState.for_variables(n, move_limit=move)
+        x = rng.uniform(0.0, 1.0, n)
+        x[rng.uniform(size=n) < 0.2] = rng.integers(0, 2)  # bound-hugging
+        for _ in range(steps):
+            scale = 10.0 ** rng.uniform(-6, 3)
+            df0 = scale * rng.normal(size=n)
+            dg = rng.normal(size=(m, n))
+            g = rng.normal(scale=0.5, size=m)
+            x_new = mma_update(x, float(rng.normal()), df0, g, dg, state)
+            assert np.all((x_new >= 0.0) & (x_new <= 1.0))
+            # the clip to x +- move is exact up to the rounding of x + move
+            assert np.abs(x_new - x).max() <= move + 4 * np.finfo(float).eps
+            x = x_new
