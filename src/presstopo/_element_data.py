@@ -23,9 +23,11 @@ any matrix on the pattern in canonical CSC form; it forms the reduced
 right-hand side b_f - M_fd v and scatters a free solution back.
 
 The free indices are numbered in one fill-reducing order per mesh: a nested
-dissection of the honeycomb's node lattice (George 1973, SIAM J. Numer.
-Anal. 10:345; ``nested_dissection``), built with the patterns, so the
-gathers return M_ff already permuted.  The reduction factors it as it is
+dissection of the honeycomb's element grid (George 1973, SIAM J. Numer.
+Anal. 10:345; ``nested_dissection``).  Boxes of element columns and rows are
+halved across their longer side, and the nodes shared across a cut are its
+separator, so the order needs no search.  It is built with the patterns, so
+the gathers return M_ff already permuted.  The reduction factors it as it is
 (``Reduction.factor``, SuperLU with ``NATURAL``), for the pressure solve,
 the displacement solve and the flow adjoint alike: SuperLU factors the
 float32 copy of M_ff and ``MixedLU`` refines its solutions in float64
@@ -47,14 +49,6 @@ from .honeymesh import _wachspress, hex_quadrature
 # refinement steps after the first float32 solve of a right-hand side; the
 # residual usually stops halving well before this many
 _MAX_STEPS = 10
-
-# nested dissection: parts of at most _LEAF_SIZE nodes keep their node
-# order; a split tries the lattice lines up to _WINDOW either side of the
-# median and pays _IMBALANCE separator nodes per node of difference between
-# its halves
-_LEAF_SIZE = 16
-_WINDOW = 3
-_IMBALANCE = 0.5
 
 
 def element_quadrature(vertices):
@@ -82,108 +76,43 @@ def _read_only(*arrays):
         arr.flags.writeable = False
 
 
-def _place(rank, nodes, part, first):
-    """Rank ``nodes`` part by part, in the order given, from ``first[part]``."""
-    order = np.argsort(part, kind="stable")
-    nodes, part = nodes[order], part[order]
-    count = np.bincount(part, minlength=first.size)
-    rank[nodes] = (first[part] + np.arange(part.size)
-                   - (np.cumsum(count) - count)[part])
+def nested_dissection(conn, nex, ney):
+    """Rank of each node in a nested-dissection order of the element grid
+    (George 1973): element ``c * ney + r`` is column c, row r of an
+    ``nex`` x ``ney`` grid, and ``conn`` lists its nodes.
 
-
-def nested_dissection(lattice, node_ptr, node_cols):
-    """Rank of each node in a nested-dissection order of the node graph
-    (CSR ``node_ptr``, ``node_cols``, self pairs included) of nodes at the
-    integer ``lattice`` points, after George 1973.
-
-    Every part of more than ``_LEAF_SIZE`` nodes is cut across its longer
-    extent, counted in element columns (3 half-steps in x) and rows (2 in
-    y).  Each lattice line c within ``_WINDOW`` of the part's median puts
-    the nodes below c on one side; the one-sided vertex separator is the set
-    of nodes on either side with a neighbour on the other, and the line and
-    side with the fewest separator nodes, plus ``_IMBALANCE`` per node of
-    difference between the halves, win.  The halves take the first ranks of
-    the part, lower half first, and the separator the last, so no edge
-    joins the two halves.  Each level of the recursion is one pass over all
-    parts.
+    Every box of elements ``[c0, c1) x [r0, r1)`` with more than one element
+    is halved at its middle column if it has at least as many columns as
+    rows, and at its middle row otherwise.  Each element's ``path`` gets one
+    bit per level, 1 in the upper half; a box of one element gets 1s.  A
+    node's part of the tree is the smallest box holding all its elements:
+    its paths share the part's prefix and differ in the ``below`` bits
+    under it, so a node whose elements straddle a cut is a separator node of
+    the box that cut halves, and every other node is in a box of one
+    element (``below`` 0).  Sorting the nodes by the greatest path in their
+    part (its prefix followed by 1s), then by ``below``, gives every box one
+    run of ranks: its lower half, its upper half, then its separator.
     """
-    n = node_ptr.size - 1
+    cell = np.arange(nex * ney)
+    grid = np.column_stack(np.divmod(cell, ney))
+    lo, hi = np.zeros_like(grid), np.tile([nex, ney], (cell.size, 1))
+    path = np.zeros(cell.size, dtype=np.int64)
+    while np.any(hi - lo > 1):
+        axis = (hi - lo).argmax(axis=1)  # columns first on a tie
+        start, stop = lo[cell, axis], hi[cell, axis]
+        mid = (start + stop) // 2
+        upper = grid[cell, axis] >= mid
+        lo[cell, axis] = np.where(upper, mid, start)
+        hi[cell, axis] = np.where(upper, stop, mid)
+        path = 2 * path + upper
+    n = conn.max() + 1
+    first, last = np.full(n, path.max()), np.zeros(n, dtype=np.int64)
+    np.minimum.at(first, conn, path[:, None])
+    np.maximum.at(last, conn, path[:, None])
+    below = np.frexp(first ^ last)[1].astype(np.int64)  # bit length
     rank = np.empty(n, dtype=np.int64)
-    part = np.zeros(n, dtype=np.int64)     # -1 once ranked
-    first = np.zeros(1, dtype=np.int64)    # first rank of each part
-    nodes = np.arange(n)                   # the unranked nodes, ascending
-    # the edges within one part, by row; each unranked node keeps its self
-    # pair, so the rows of ``nodes`` start the segments of ``row``
-    row, col = np.repeat(np.arange(n), np.diff(node_ptr)), node_cols
-    offsets = np.arange(-_WINDOW, _WINDOW + 1)
-    width = offsets.size
-    while True:
-        p = part[nodes]
-        size = np.bincount(p, minlength=first.size)
-        leaf = size[p] <= _LEAF_SIZE
-        _place(rank, nodes[leaf], p[leaf], first)
-        part[nodes[leaf]] = -1
-        nodes, p = nodes[~leaf], p[~leaf]
-        if not nodes.size:
-            return rank
-        split = size > _LEAF_SIZE
-        p = (np.cumsum(split) - 1)[p]
-        first, size = first[split], size[split]
-        parts = np.arange(first.size)
-        part_row = part[row]
-        keep = (part_row >= 0) & (part_row == part[col])
-        row, col = row[keep], col[keep]
-
-        # each part's coordinate t across its longer extent, and its lines
-        xy = lattice[nodes]
-        start = np.cumsum(size) - size
-        by_part = xy[np.argsort(p, kind="stable")]
-        lo = np.minimum.reduceat(by_part, start)
-        hi = np.maximum.reduceat(by_part, start)
-        extent = hi - lo
-        axis = (2 * extent[:, 0] < 3 * extent[:, 1]).astype(np.intp)
-        t = xy[np.arange(nodes.size), axis[p]]
-        median = t[np.lexsort((t, p))][start + size // 2]
-        # lo < line <= hi leaves nodes on both sides of every line
-        lines = np.clip(median[:, None] + offsets,
-                        lo[parts, axis][:, None] + 1, hi[parts, axis][:, None])
-
-        # the least and greatest t among each node's neighbours in its part
-        t_all = np.zeros(n, dtype=t.dtype)
-        t_all[nodes] = t
-        segments = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-        near_lo = np.minimum.reduceat(t_all[col], segments)
-        near_hi = np.maximum.reduceat(t_all[col], segments)
-
-        c = lines[p]
-        below = t[:, None] < c
-        key = (p[:, None] * width + np.arange(width)).ravel()
-
-        def count(mask):
-            return np.bincount(key[mask.ravel()], minlength=first.size
-                               * width).reshape(first.size, width)
-
-        n_below = count(below)
-        n_above = size[:, None] - n_below
-        cut_above = count(~below & (near_lo[:, None] < c))
-        cut_below = count(below & (near_hi[:, None] >= c))
-        # side 0 takes the separator from above the line, side 1 from below
-        sep = np.stack([cut_above, cut_below])
-        lower = np.stack([n_below, n_below - cut_below])
-        upper = np.stack([n_above - cut_above, n_above])
-        cost = sep + _IMBALANCE * np.abs(lower - upper)
-        side, k = np.divmod(cost.transpose(1, 0, 2).reshape(first.size, -1)
-                            .argmin(axis=1), width)
-        c = lines[parts, k][p]
-        above = t >= c
-        cut = np.where(side[p] == 0, above & (near_lo < c),
-                       ~above & (near_hi >= c))
-        _place(rank, nodes[cut], p[cut], first + size - sep[side, parts, k])
-        part[nodes] = 2 * p + above
-        part[nodes[cut]] = -1
-        first = np.column_stack(
-            [first, first + lower[side, parts, k]]).ravel()
-        nodes = nodes[~cut]
+    rank[np.lexsort((below, last | ((1 << below) - 1)))] = np.arange(n)
+    return rank
 
 
 class Pattern:
@@ -405,7 +334,7 @@ class MeshIntegrals:
                               self.shape)
         self.conn = mesh.elements
         self.n_nodes = mesh.n_nodes
-        self.lattice = mesh.node_lattice
+        self.grid = mesh.nex, mesh.ney
         # interleaved displacement DOFs per element, (n_elements, 12)
         self.udofs = np.empty((mesh.n_elements, 12), dtype=self.conn.dtype)
         self.udofs[:, 0::2] = 2 * self.conn
@@ -441,7 +370,7 @@ class MeshIntegrals:
     def node_rank(self):
         """Rank of each node in the mesh's nested-dissection order, built
         once, with the first pattern that needs it."""
-        rank = nested_dissection(self.lattice, *self._node_pattern[:2])
+        rank = nested_dissection(self.conn, *self.grid)
         _read_only(rank)
         return rank
 

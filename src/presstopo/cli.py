@@ -108,6 +108,11 @@ def _cmd_run(args):
 
 
 def _cmd_gradient_check(args):
+    # the check design lies in [0.15, 0.85], so a step of 0.15 or more
+    # leaves [0, 1]
+    h = args.step
+    if not 0.0 < h < 0.15:
+        raise ConfigError(f"--step must be finite and in (0, 0.15), got {h}")
     cfg = load_config(args.config)
     try:
         nex, ney = (int(tok) for tok in args.elements.lower().split("x"))
@@ -138,7 +143,6 @@ def _cmd_gradient_check(args):
     estate = driver.analyze(design, mesh, materials, flow, fixed_dofs,
                             cfg.pressure_bc)
     grad = adjoint.compliance_sensitivity(mesh, materials, flow, estate, filt)
-    h = args.step
     fd = np.zeros_like(grad)
     for j in range(grad.shape[1]):
         for e in range(mesh.n_elements):

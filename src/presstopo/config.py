@@ -190,13 +190,50 @@ def _parse_supports(text):
     return tuple(out)
 
 
+# each option of a config file and the ``ProblemConfig`` field it sets; an
+# option left out or empty keeps the field's default
+_OPTIONS = {
+    ("domain", "lx"): ("lx", float),
+    ("domain", "ly"): ("ly", float),
+    ("domain", "nex"): ("nex", int),
+    ("domain", "ney"): ("ney", int),
+    ("materials", "young_moduli"): ("e_moduli", _parse_floats),
+    ("materials", "poisson"): ("nu", float),
+    ("materials", "thickness"): ("thickness", float),
+    ("materials", "simp_penalty"): ("simp_penalty", float),
+    ("volume", "fractions"): ("volume_fractions", _parse_floats),
+    ("flow", "contrast"): ("flow_contrast", float),
+    ("flow", "step_eta"): ("flow_eta", float),
+    ("flow", "step_beta"): ("flow_beta", float),
+    ("flow", "drain_eta"): ("drain_eta", float),
+    ("flow", "drain_beta"): ("drain_beta", float),
+    ("flow", "void_coefficient"): ("void_flow_coefficient", float),
+    ("flow", "drainage_solid"): ("drainage_solid", float),
+    ("flow", "drainage_remainder"): ("drainage_remainder", float),
+    ("flow", "drainage_depth"): ("drainage_depth_elements", float),
+    ("filter", "radius_elements"): ("filter_radius_elements", float),
+    ("filter", "radius_abs"): ("filter_radius_abs", float),
+    ("optimizer", "max_iterations"): ("max_iterations", int),
+    ("optimizer", "move_limit"): ("move_limit", float),
+    ("optimizer", "step_tolerance"): ("step_tolerance", float),
+    ("output", "directory"): ("output_directory", str),
+    ("output", "write_vtk"): ("write_vtk", bool),
+    ("output", "write_svg"): ("write_svg", bool),
+    ("output", "pressure_isolines"): ("pressure_isolines", bool),
+    ("output", "log_every"): ("log_every", int),
+    ("output", "initial_design"): ("initial_design", str),
+}
+_REQUIRED = ("lx", "ly", "nex", "ney", "e_moduli")
+
+
 def load_config(path) -> ProblemConfig:
     """Parse and validate a configuration file.
 
     ``path`` may also name a shipped benchmark ('arch-2mat', 'piston-2mat',
     'arch-3mat', 'piston-3mat').  Options it does not read are rejected, so
     a misspelt option is an error, not a silent default; so is a non-finite
-    number (``nan``, ``inf``).
+    number (``nan``, ``inf``), and an edge named as both pressure inlet and
+    outlet.
     """
     path = Path(path)
     if not path.exists():
@@ -231,75 +268,38 @@ def load_config(path) -> ProblemConfig:
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"[{section}] {option} = {raw!r}: {exc}") from exc
 
-    required = {
-        "lx": get("domain", "lx", float),
-        "ly": get("domain", "ly", float),
-        "nex": get("domain", "nex", int),
-        "ney": get("domain", "ney", int),
-        "e_moduli": get("materials", "young_moduli", _parse_floats),
-    }
-    missing = [k for k, v in required.items() if v is None]
+    options = {}
+    for (section, option), (name, cast) in _OPTIONS.items():
+        value = get(section, option, cast)
+        if value is not None:
+            options[name] = value
+    missing = [name for name in _REQUIRED if name not in options]
     if missing:
         raise ConfigError(f"missing required options: {', '.join(missing)}")
 
-    pressure_bc = {}
-    inlet = get("pressure", "inlet", str, "top")
-    outlet = get("pressure", "outlet", str, "bottom")
-    inlet_value = get("pressure", "inlet_value", float, 1e5)
-    outlet_value = get("pressure", "outlet_value", float, 0.0)
-    for edge in (inlet or "").replace(",", " ").split():
-        pressure_bc[edge] = inlet_value
-    for edge in (outlet or "").replace(",", " ").split():
-        pressure_bc[edge] = outlet_value
+    inlet = get("pressure", "inlet", str, "top").replace(",", " ").split()
+    outlet = get("pressure", "outlet", str, "bottom").replace(",", " ").split()
+    both = [edge for edge in inlet if edge in outlet]
+    if both:
+        raise ConfigError(f"[pressure] {', '.join(map(repr, both))} named as "
+                          "both inlet and outlet")
+    pressure_bc = dict.fromkeys(inlet, get("pressure", "inlet_value", float,
+                                           1e5))
+    pressure_bc.update(dict.fromkeys(outlet, get("pressure", "outlet_value",
+                                                 float, 0.0)))
 
-    cfg = ProblemConfig(
-        lx=required["lx"],
-        ly=required["ly"],
-        nex=required["nex"],
-        ney=required["ney"],
-        e_moduli=required["e_moduli"],
-        nu=get("materials", "poisson", float, 0.40),
-        thickness=get("materials", "thickness", float, 0.001),
-        simp_penalty=get("materials", "simp_penalty", float, 3.0),
-        volume_fractions=get("volume", "fractions", _parse_floats, (0.1, 0.1)),
-        pressure_bc=pressure_bc,
-        supports=get("supports", "fixed", _parse_supports, ())
-        + tuple(
-            SupportSpec(s.edge, s.lo, s.hi, "x")
-            for s in get("supports", "roller_x", _parse_supports, ())
-        )
-        + tuple(
-            SupportSpec(s.edge, s.lo, s.hi, "y")
-            for s in get("supports", "roller_y", _parse_supports, ())
-        ),
-        flow_contrast=get("flow", "contrast", float, 1e-7),
-        flow_eta=get("flow", "step_eta", float, 0.2),
-        flow_beta=get("flow", "step_beta", float, 10.0),
-        drain_eta=get("flow", "drain_eta", float, 0.2),
-        drain_beta=get("flow", "drain_beta", float, 10.0),
-        void_flow_coefficient=get("flow", "void_coefficient", float, 1.0),
-        drainage_solid=get("flow", "drainage_solid", float, None),
-        drainage_remainder=get("flow", "drainage_remainder", float, 0.1),
-        drainage_depth_elements=get("flow", "drainage_depth", float, 2.0),
-        filter_radius_elements=get("filter", "radius_elements", float, 3.0),
-        filter_radius_abs=get("filter", "radius_abs", float, None),
-        max_iterations=get("optimizer", "max_iterations", int, 100),
-        move_limit=get("optimizer", "move_limit", float, 0.1),
-        step_tolerance=get("optimizer", "step_tolerance", float, 0.0),
-        output_directory=get("output", "directory", str, "out") or "out",
-        write_vtk=get("output", "write_vtk", bool, True),
-        write_svg=get("output", "write_svg", bool, True),
-        pressure_isolines=get("output", "pressure_isolines", bool, True),
-        log_every=get("output", "log_every", int, 10),
-        initial_design=get("output", "initial_design", str, None),
-        name=path.stem,
-    )
+    supports = get("supports", "fixed", _parse_supports, ())
+    for option, directions in (("roller_x", "x"), ("roller_y", "y")):
+        supports += tuple(replace(s, directions=directions) for s in
+                          get("supports", option, _parse_supports, ()))
+
     unknown = [f"[{section}] {option}" for section in parser.sections()
                for option in parser.options(section)
                if (section, option) not in read]
     if unknown:
         raise ConfigError(f"unknown options: {', '.join(unknown)}")
-    return cfg.validate()
+    return ProblemConfig(**options, pressure_bc=pressure_bc,
+                         supports=supports, name=path.stem).validate()
 
 
 def builtin_config_path(name, missing_ok=False):

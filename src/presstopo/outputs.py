@@ -14,9 +14,14 @@ import numpy as np
 from .errors import PresstopoError
 from .fields import material_phase_densities
 
-# fill colors from the stiffest material downwards; void cells stay white
-_MATERIAL_COLORS = ["#000000", "#ff8c00", "#ffd700"]
 _VOID_COLOR = "#ffffff"
+
+
+def _material_colors(m):
+    """Fill colors of ``m`` materials from the stiffest downwards: black,
+    then orange shading to gold (``#ff8c00``, ``#ffd700`` for three)."""
+    green = np.linspace(0x8c, 0xd7, m - 1).round().astype(int)
+    return ["#000000"] + [f"#ff{g:02x}00" for g in green]
 
 
 def write_outputs(result, output_dir):
@@ -126,7 +131,7 @@ def write_material_svg(path, mesh, design, pressure=None, width_px=900,
     shares = np.column_stack([void, phases])
     dominant = shares.argmax(axis=1)
 
-    colors = [_VOID_COLOR] + list(reversed(_MATERIAL_COLORS[:m]))
+    colors = [_VOID_COLOR] + _material_colors(m)[::-1]
     scale = width_px / mesh.Lx
     height_px = mesh.Ly * scale
 

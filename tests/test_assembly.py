@@ -66,6 +66,47 @@ def problems(draw):
     return mesh, design, fixed, edges, rng
 
 
+def element_boxes(nex, ney):
+    """Each element's chain of boxes (c0, c1, r0, r1), root first: a box of
+    more than one element is halved at its middle column if it has at least
+    as many columns as rows, and at its middle row otherwise."""
+    chains = {}
+
+    def split(box, chain):
+        c0, c1, r0, r1 = box
+        chain = chain + [box]
+        if (c1 - c0) * (r1 - r0) == 1:
+            chains[c0 * ney + r0] = chain
+        elif c1 - c0 >= r1 - r0:
+            mid = (c0 + c1) // 2
+            split((c0, mid, r0, r1), chain)
+            split((mid, c1, r0, r1), chain)
+        else:
+            mid = (r0 + r1) // 2
+            split((c0, c1, r0, mid), chain)
+            split((c0, c1, mid, r1), chain)
+
+    split((0, nex, 0, ney), [])
+    return [chains[e] for e in range(nex * ney)]
+
+
+def node_parts(mesh):
+    """The smallest box holding all elements of each node, and every box."""
+    chains = element_boxes(mesh.nex, mesh.ney)
+    held_by = [[] for _ in range(mesh.n_nodes)]
+    for e, nodes in enumerate(mesh.elements):
+        for node in nodes:
+            held_by[node].append(chains[e])
+    part = [[box for box in held[0] if all(box in c for c in held)][-1]
+            for held in held_by]
+    return part, {box for chain in chains for box in chain}
+
+
+def inside(a, b):
+    """Box ``a`` lies in box ``b``."""
+    return b[0] <= a[0] and a[1] <= b[1] and b[2] <= a[2] and a[3] <= b[3]
+
+
 class TestScatterAssembly:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(problems())
@@ -131,41 +172,30 @@ class TestScatterAssembly:
     def test_node_order_is_a_nested_dissection(self, problem):
         mesh = problem[0]
         data = mesh_integrals(mesh)
-        ptr, cols, _ = data._node_pattern
-        calls = []
-        place = _element_data._place
-
-        def spy(rank, nodes, part, first):
-            calls.append((nodes.copy(), part.copy(), first.copy()))
-            place(rank, nodes, part, first)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_element_data, "_place", spy)
-            rank = _element_data.nested_dissection(mesh.node_lattice, ptr,
-                                                   cols)
+        rank = _element_data.nested_dissection(mesh.elements, mesh.nex,
+                                               mesh.ney)
         assert np.array_equal(np.sort(rank), np.arange(mesh.n_nodes))
         assert np.array_equal(rank, data.node_rank)
         assert np.array_equal(rank, _element_data.nested_dissection(
-            mesh.node_lattice, ptr, cols))
+            mesh.elements, mesh.nex, mesh.ney))
 
-        # each level places its leaves, then its separators from the last
-        # ranks of their parts; the next level's leaf call gets the first
-        # ranks of the halves, 2q below the line and 2q + 1 above it
+        part, boxes = node_parts(mesh)
+        # an edge joins two nodes of nested parts, so no edge joins the two
+        # halves of a box
+        ptr, cols, _ = data._node_pattern
         rows = np.repeat(np.arange(mesh.n_nodes), np.diff(ptr))
-        for (seps, q, sep_first), (_, _, halves) in zip(calls[1::2],
-                                                        calls[2::2]):
-            assert halves.size == 2 * sep_first.size
-            ends = np.append(halves[1:], 0)
-            ends[1::2] = sep_first
-            assert np.all(halves <= ends)
-            assert np.all(rank[seps] >= sep_first[q])
-            # half h holds the ranks [halves[h], ends[h])
-            half = np.full(mesh.n_nodes, -1)
-            for h in np.flatnonzero(halves < ends):
-                half[(rank >= halves[h]) & (rank < ends[h])] = h
-            a, b = half[rows], half[cols]
-            joined = (a >= 0) & (b >= 0) & (a != b) & (a // 2 == b // 2)
-            assert not np.any(joined)
+        for u, v in zip(rows, cols):
+            assert inside(part[u], part[v]) or inside(part[v], part[u])
+        # each box's nodes take one run of ranks, its own separator last; a
+        # box can hold no node of its own, or none at all
+        for box in boxes:
+            held = rank[[inside(p, box) for p in part]]
+            own = rank[[p == box for p in part]]
+            if not held.size:
+                continue
+            assert held.max() - held.min() + 1 == held.size
+            assert np.array_equal(np.sort(own), np.arange(
+                held.max() - own.size + 1, held.max() + 1))
 
 
 class TestPatternsBuiltOnce:
@@ -308,24 +338,27 @@ class TestRefinedSolve:
         assert len(built) == 1
 
     def test_fill_at_most_minimum_degree(self):
-        # the desk arch: arch-2mat on 61x30, at the uniform start
-        cfg = load_config("arch-2mat")
-        cfg.nex, cfg.ney = 61, 30
-        mesh, filt, mats, flow, fixed = build_problem(cfg.validate())
-        design = make_design(initial_design(cfg, mesh), filt, mesh, mats)
-        data = mesh_integrals(mesh)
-        dirichlet = np.concatenate([mesh.boundary_node_sets[edge]
-                                    for edge in cfg.pressure_bc])
-        systems = [
-            (data.stiffness_pattern.reduction(fixed),
-             assemble_stiffness(mesh, design, mats)),
-            (data.flow_pattern.reduction(dirichlet),
-             assemble_flow(mesh, design, flow)[0]),
-        ]
-        for reduction, matrix in systems:
-            m_ff = reduction.blocks(matrix)[0].astype(np.float32)
-            nested = spla.splu(m_ff, permc_spec="NATURAL").nnz
-            assert nested <= spla.splu(m_ff, permc_spec="MMD_AT_PLUS_A").nnz
+        # the desk arch (arch-2mat on 61x30) and the desk piston
+        # (piston-3mat on 45x30), at the uniform start
+        for name, nex, ney in (("arch-2mat", 61, 30), ("piston-3mat", 45, 30)):
+            cfg = load_config(name)
+            cfg.nex, cfg.ney = nex, ney
+            mesh, filt, mats, flow, fixed = build_problem(cfg.validate())
+            design = make_design(initial_design(cfg, mesh), filt, mesh, mats)
+            data = mesh_integrals(mesh)
+            dirichlet = np.concatenate([mesh.boundary_node_sets[edge]
+                                        for edge in cfg.pressure_bc])
+            systems = [
+                (data.stiffness_pattern.reduction(fixed),
+                 assemble_stiffness(mesh, design, mats)),
+                (data.flow_pattern.reduction(dirichlet),
+                 assemble_flow(mesh, design, flow)[0]),
+            ]
+            for reduction, matrix in systems:
+                m_ff = reduction.blocks(matrix)[0].astype(np.float32)
+                nested = spla.splu(m_ff, permc_spec="NATURAL").nnz
+                assert nested <= spla.splu(m_ff,
+                                           permc_spec="MMD_AT_PLUS_A").nnz
 
     def test_agrees_with_float64_solve(self):
         mesh, design, fixed, rng = self._problem(1, nex=10, ney=8)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from presstopo.cli import EXIT_CONFIG, EXIT_OK, main
-from presstopo.config import builtin_config_names, load_config
+from presstopo.config import (
+    ProblemConfig,
+    SupportSpec,
+    builtin_config_names,
+    load_config,
+)
 
 
 TINY_CONFIG = """
@@ -114,6 +119,28 @@ class TestValidate:
                      "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "solver error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inlet, outlet, named", [
+        ("top", "top", "'top'"),
+        ("top left", "bottom, left", "'left'"),
+    ])
+    def test_edge_both_inlet_and_outlet(self, tmp_path, capsys, inlet,
+                                        outlet, named):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG.replace(
+            "[optimizer]",
+            f"[pressure]\ninlet = {inlet}\noutlet = {outlet}\n\n[optimizer]"))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and "both inlet and outlet" in err
+
+    def test_unset_options_take_dataclass_defaults(self, tiny_config):
+        assert load_config(tiny_config) == ProblemConfig(
+            lx=0.2, ly=0.1, nex=8, ney=5, e_moduli=(40e6, 100e6),
+            volume_fractions=(0.1, 0.1),
+            supports=(SupportSpec("bottom", 0.0, 0.2),
+                      SupportSpec("bottom", 0.8, 1.0)),
+            max_iterations=2, log_every=1, name="tiny")
+
     def test_builtin_names_resolve(self):
         assert set(builtin_config_names()) == {
             "arch-2mat", "arch-3mat", "piston-2mat", "piston-3mat"}
@@ -182,3 +209,10 @@ class TestGradientCheck:
         code = main(["gradient-check", "--config", str(tiny_config),
                      "--elements", "bogus"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("step", ["0", "nan", "0.5", "-1e-6"])
+    def test_bad_step_is_config_error(self, tiny_config, capsys, step):
+        code = main(["gradient-check", "--config", str(tiny_config),
+                     "--elements", "5x4", f"--step={step}"])
+        assert code == EXIT_CONFIG
+        assert "--step" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from presstopo import driver
 from presstopo.fields import material_phase_densities
 from presstopo.outputs import (
     _VOID_COLOR,
-    _MATERIAL_COLORS,
+    _material_colors,
     write_design_csv,
     write_material_svg,
     write_outputs,
@@ -142,6 +142,26 @@ class TestSvg:
         write_material_svg(path, mesh, design)
         assert "<polygon" not in path.read_text()
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    def test_every_material_count_drawn(self, m, tmp_path):
+        from presstopo import generate_mesh
+
+        # element e < m + 1 is void (e = 0) or pure material e; the rest are
+        # the stiffest material
+        mesh = generate_mesh(4, 3, 0.4, 0.3)
+        design = make_uniform_design(mesh, [1.0] * m)
+        for e in range(m + 1):
+            design.filtered[e] = np.arange(m) < e
+        path = tmp_path / "m.svg"
+        write_material_svg(path, mesh, design)
+        fills = [seg.split('"')[0]
+                 for seg in path.read_text().split('fill="')[2:]]
+        assert len(fills) == mesh.n_elements - 1
+        assert fills[:m] == _material_colors(m)[::-1]
+        assert len(set(fills)) == m
+        assert set(fills[m:]) == {"#000000"}
+        assert _material_colors(3) == ["#000000", "#ff8c00", "#ffd700"]
+
     def test_isolines_drawn_for_varying_pressure(self, small_result, tmp_path):
         path = tmp_path / "iso.svg"
         write_material_svg(path, small_result.mesh, small_result.design,
@@ -207,7 +227,7 @@ def reference_svg_shapes(mesh, design, pressure, width_px=900, n_isolines=9):
     phases = material_phase_densities(design.filtered, m)
     shares = np.column_stack([1.0 - design.filtered[:, 0], phases])
     dominant = shares.argmax(axis=1)
-    colors = [_VOID_COLOR] + list(reversed(_MATERIAL_COLORS[:m]))
+    colors = [_VOID_COLOR] + _material_colors(m)[::-1]
     scale = width_px / mesh.Lx
     height_px = mesh.Ly * scale
     coords = mesh.nodes * scale
