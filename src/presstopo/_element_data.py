@@ -19,20 +19,23 @@ Both solves prescribe values on some indices: the inlet and outlet
 pressures, and the supports.  ``Pattern.reduction`` builds one ``Reduction``
 per array of fixed indices and keeps it.  It holds the sorted fixed and free
 indices and the index gathers that take M_ff and M_fd out of the ``data`` of
-any matrix on the pattern in canonical CSC form; it forms the reduced
-right-hand side b_f - M_fd v and scatters a free solution back.
+any matrix on the pattern in canonical CSC form.  ``Reduction.solve`` is the
+one Dirichlet solve of the pressure and the displacements: it forms
+c = b_f - M_fd v, solves M_ff x_f = c and returns the full x with the
+``MixedLU`` of M_ff, which the flow adjoint reuses.
 
 The free indices are numbered in one fill-reducing order per mesh: a nested
 dissection of the honeycomb's element grid (George 1973, SIAM J. Numer.
 Anal. 10:345; ``nested_dissection``).  Boxes of element columns and rows are
 halved across their longer side, and the nodes shared across a cut are its
 separator, so the order needs no search.  It is built with the patterns, so
-the gathers return M_ff already permuted.  The reduction factors it as it is
-(``Reduction.factor``, SuperLU with ``NATURAL``), for the pressure solve,
-the displacement solve and the flow adjoint alike: SuperLU factors the
-float32 copy of M_ff and ``MixedLU`` refines its solutions in float64
-(Langou et al. 2006; Carson & Higham 2018), with one float64 factorization
-as the fallback when refinement misses the caller's residual gate.
+the gathers return M_ff already permuted, and ``MixedLU`` factors it as it
+is (SuperLU with ``NATURAL``): the float32 copy of M_ff, with solutions
+refined in float64 (Langou et al. 2006; Carson & Higham 2018), and one
+float64 factorization as the fallback when that factorization fails or
+refinement misses the caller's residual gate.  ``MixedLU.residual`` is the
+||c - M_ff x_f|| / ||c|| of its last solve, which the displacement solve
+gates on.
 """
 
 from __future__ import annotations
@@ -187,46 +190,40 @@ class Reduction:
             raise InvalidArgumentError("a fixed index is listed twice")
         self.free = np.setdiff1d(np.arange(n), self.fixed, assume_unique=True)
         self.rows = self.free[np.argsort(pattern.rank[self.free])]
-        self._indptr = indptr = pattern.indptr
-        # the free rows in the order ``rows``, each entry holding its slot;
-        # indices are numbered ``rows`` first, then fixed, so index i is free
-        # when col[i] < nf.  tocsc is a counting sort by column that keeps
-        # the rows of a column sorted
-        nf = self.rows.size
-        col = np.empty(n, dtype=np.int64)
-        col[np.concatenate([self.rows, self.fixed])] = np.arange(n)
-        lengths = np.diff(indptr)[self.rows]
-        ptr = np.append(0, np.cumsum(lengths))
-        keep = np.arange(ptr[-1]) + np.repeat(indptr[self.rows] - ptr[:-1],
-                                              lengths)
-        slots = sp.csr_matrix((keep, col[pattern.indices[keep]], ptr),
-                              shape=(nf, n)).tocsc()
-        self._slots = slots[:, :nf], slots[:, nf:]
+        self._indptr = pattern.indptr
+        # each entry of the pattern holds its slot + 1, so that no slot is
+        # a zero; tocsc is a counting sort by column that keeps the rows of
+        # a column sorted, and picking whole columns keeps them so
+        slots = sp.csr_matrix((np.arange(1, pattern.nnz + 1), pattern.indices,
+                               pattern.indptr), shape=pattern.shape)
+        slots = slots[self.rows].tocsc()
+        self._slots = tuple(slots[:, cols] for cols in (self.rows, self.fixed))
+        for s in self._slots:
+            s.data -= 1
         _read_only(self.order, self.fixed, self.free, self.rows,
-                   *(a for b in self._slots
-                     for a in (b.data, b.indices, b.indptr)))
-
-    def _block(self, matrix, k):
-        if matrix.indptr is not self._indptr:
-            raise InvalidArgumentError("matrix was not assembled on this mesh")
-        s = self._slots[k]
-        return sp.csc_matrix((matrix.data[s.data], s.indices, s.indptr),
-                             shape=s.shape)
+                   *(a for s in self._slots
+                     for a in (s.data, s.indices, s.indptr)))
 
     def blocks(self, matrix):
         """M_ff and M_fd of ``matrix`` in canonical CSC form, free rows and
         columns in the order ``rows``; ``matrix`` must be assembled on this
         pattern (scipy keeps the pattern's ``indptr``)."""
-        return self._block(matrix, 0), self._block(matrix, 1)
+        if matrix.indptr is not self._indptr:
+            raise InvalidArgumentError("matrix was not assembled on this mesh")
+        return tuple(sp.csc_matrix((matrix.data[s.data], s.indices, s.indptr),
+                                   shape=s.shape) for s in self._slots)
 
-    def reduce(self, matrix, values=None, b=None):
-        """b_f - M_fd v for ``matrix`` assembled on this pattern, in the
-        order ``rows``.
+    def solve(self, matrix, tol, b=None, values=None):
+        """Solve ``matrix`` x = ``b`` with x = ``values`` on the fixed
+        indices; returns the full x and the ``MixedLU`` of M_ff, whose
+        ``residual`` is ||c - M_ff x_f|| / ||c|| for c = b_f - M_fd v.
 
         ``values`` are paired with the fixed indices in the order they were
-        passed, zero by default; ``b`` defaults to zero.
+        passed; they and ``b`` default to zero.  ``tol`` is the refinement's
+        gate on the residual.  Raises ``RuntimeError`` when M_ff is singular
+        in double precision too.
         """
-        m_fd = self._block(matrix, 1)
+        m_ff, m_fd = self.blocks(matrix)
         if values is None:
             v = np.zeros(self.fixed.size)
         else:
@@ -235,54 +232,44 @@ class Reduction:
                 raise InvalidArgumentError(f"{v.size} fixed values for "
                                            f"{self.fixed.size} fixed indices")
             v = v[self.order]
-        return -(m_fd @ v) if b is None else b[self.rows] - m_fd @ v
+        c = -(m_fd @ v)
+        if b is not None:
+            c += b[self.rows]
+        lu = MixedLU(m_ff, tol)
+        x = self.expand(lu(c))
+        x[self.fixed] = v
+        return x, lu
 
-    def factor(self, matrix, tol) -> MixedLU:
-        """Solver of M_ff x_f = c for ``matrix``, ``c`` and ``x_f`` in the
-        order ``rows``; ``tol`` is its gate on ||c - M_ff x_f|| / ||c||.
-
-        M_ff comes out of the gathers in its fill-reducing order, so SuperLU
-        factors it as it is (``NATURAL``).  Raises ``RuntimeError`` when M_ff
-        is singular in double precision too.
-        """
-        m_ff = self._block(matrix, 0)
-        try:
-            lu = spla.splu(m_ff.astype(np.float32), permc_spec="NATURAL")
-        except RuntimeError:  # singular in single precision
-            return MixedLU(m_ff, tol, None)
-        return MixedLU(m_ff, tol, lu.solve)
-
-    def expand(self, x_free, values=None):
-        """Full vector: ``x_free`` (in the order ``rows``) on the free indices,
-        ``values`` (paired as in ``reduce``, zero by default) on the fixed
-        ones."""
+    def expand(self, x_free):
+        """Full vector: ``x_free`` (in the order ``rows``) on the free
+        indices, zero on the fixed ones."""
         out = np.zeros(self.free.size + self.fixed.size)
-        if values is not None:
-            out[self.fixed] = np.asarray(values, dtype=float)[self.order]
         out[self.rows] = x_free
         return out
 
 
 class MixedLU:
-    """Solves M x = b for a float64 CSC matrix M with a single-precision LU
-    factor refined in double precision, after Langou et al. 2006 and Carson
-    & Higham 2018 (SIAM J. Sci. Comput. 40:A817).
+    """Solves M x = b for a float64 CSC matrix M, in its own order, with a
+    single-precision LU factor refined in double precision, after Langou et
+    al. 2006 and Carson & Higham 2018 (SIAM J. Sci. Comput. 40:A817).
 
-    ``solve32`` applies the float32 factor to a float32 vector.  Refinement
-    repeats x += LU32^-1 r, r = b - M x in float64 until ||r|| / ||b|| no
-    longer halves, at most ``_MAX_STEPS`` times.  When the result misses
-    ``tol`` (or is not finite), or ``solve32`` is None because the float32
-    factorization failed, M is factored once in float64, in its own order,
-    and that factor solves from then on; ``fallbacks`` counts it.  ``steps``
-    holds the refinement steps of the last solve.
+    SuperLU factors the float32 copy of M (``NATURAL``).  Refinement repeats
+    x += LU32^-1 r, r = b - M x in float64 until ||r|| / ||b|| no longer
+    halves, at most ``_MAX_STEPS`` times.  When the float32 factorization
+    fails, or a refined result misses ``tol`` (or is not finite), M is
+    factored once in float64 and that factor solves from then on;
+    ``fallbacks`` counts it.  ``steps`` holds the refinement steps of the
+    last solve and ``residual`` its ||b - M x|| / ||b||.
     """
 
-    def __init__(self, matrix, tol, solve32):
+    def __init__(self, matrix, tol):
         self.matrix, self.tol = matrix, tol
-        self._solve32 = solve32
         self._lu64 = None
         self.steps = self.fallbacks = 0
-        if solve32 is None:
+        try:
+            self._lu32 = spla.splu(matrix.astype(np.float32),
+                                   permc_spec="NATURAL")
+        except RuntimeError:  # singular in single precision
             self._factor64()
 
     def _factor64(self):
@@ -291,11 +278,14 @@ class MixedLU:
 
     def __call__(self, b):
         if self._lu64 is None:
-            x, rel = self._refine(b)
-            if rel <= self.tol:
+            x, self.residual = self._refine(b)
+            if self.residual <= self.tol:
                 return x
             self._factor64()
-        return self._lu64.solve(b)
+        x = self._lu64.solve(b)
+        self.residual = (np.linalg.norm(b - self.matrix @ x)
+                         / (np.linalg.norm(b) or 1.0))
+        return x
 
     def _refine(self, b):
         """Refined solution of M x = b and its ||b - M x|| / ||b||."""
@@ -303,12 +293,12 @@ class MixedLU:
         b_norm = np.linalg.norm(b)
         if b_norm == 0.0:
             return np.zeros_like(b), 0.0
-        x = self._solve32(b.astype(np.float32)).astype(np.float64)
+        x = self._lu32.solve(b.astype(np.float32)).astype(np.float64)
         r = b - self.matrix @ x
         rel = np.linalg.norm(r) / b_norm
         while self.steps < _MAX_STEPS:
             self.steps += 1
-            x_new = x + self._solve32(r.astype(np.float32))
+            x_new = x + self._lu32.solve(r.astype(np.float32))
             r_new = b - self.matrix @ x_new
             rel_new = np.linalg.norm(r_new) / b_norm
             if not rel_new < rel:  # no progress, or not finite

@@ -38,18 +38,18 @@ class ProblemConfig:
     nex: int
     ney: int
     e_moduli: tuple
-    nu: float = 0.40
-    thickness: float = 0.001
-    simp_penalty: float = 3.0
+    nu: float = fields.MaterialSet.nu
+    thickness: float = fields.MaterialSet.thickness
+    simp_penalty: float = fields.MaterialSet.penalty
     volume_fractions: tuple = (0.1, 0.1)
     pressure_bc: dict = field(default_factory=lambda: {"top": 1e5, "bottom": 0.0})
     supports: tuple = ()
-    flow_contrast: float = 1e-7
-    flow_eta: float = 0.2
-    flow_beta: float = 10.0
-    drain_eta: float = 0.2
-    drain_beta: float = 10.0
-    void_flow_coefficient: float = 1.0
+    flow_contrast: float = darcy.FlowParams.epsilon
+    flow_eta: float = darcy.FlowParams.eta_k
+    flow_beta: float = darcy.FlowParams.beta_k
+    drain_eta: float = darcy.FlowParams.eta_d
+    drain_beta: float = darcy.FlowParams.beta_d
+    void_flow_coefficient: float = darcy.FlowParams.k_void
     drainage_solid: float | None = None
     drainage_remainder: float = 0.1
     drainage_depth_elements: float = 2.0
@@ -174,6 +174,13 @@ def _parse_floats(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
+def _parse_bool(text):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
 def _parse_supports(text):
     out = []
     for token in text.replace(",", " ").split():
@@ -217,9 +224,9 @@ _OPTIONS = {
     ("optimizer", "move_limit"): ("move_limit", float),
     ("optimizer", "step_tolerance"): ("step_tolerance", float),
     ("output", "directory"): ("output_directory", str),
-    ("output", "write_vtk"): ("write_vtk", bool),
-    ("output", "write_svg"): ("write_svg", bool),
-    ("output", "pressure_isolines"): ("pressure_isolines", bool),
+    ("output", "write_vtk"): ("write_vtk", _parse_bool),
+    ("output", "write_svg"): ("write_svg", _parse_bool),
+    ("output", "pressure_isolines"): ("pressure_isolines", _parse_bool),
     ("output", "log_every"): ("log_every", int),
     ("output", "initial_design"): ("initial_design", str),
 }
@@ -232,8 +239,9 @@ def load_config(path) -> ProblemConfig:
     ``path`` may also name a shipped benchmark ('arch-2mat', 'piston-2mat',
     'arch-3mat', 'piston-3mat').  Options it does not read are rejected, so
     a misspelt option is an error, not a silent default; so is a non-finite
-    number (``nan``, ``inf``), and an edge named as both pressure inlet and
-    outlet.
+    number (``nan``, ``inf``), a boolean outside configparser's own table
+    (``1/yes/true/on``, ``0/no/false/off``, any case), and an edge named as
+    both pressure inlet and outlet.
     """
     path = Path(path)
     if not path.exists():
@@ -259,8 +267,6 @@ def load_config(path) -> ProblemConfig:
         if raw == "":
             return default
         try:
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
             value = cast(raw)
             if cast in (float, _parse_floats) and not np.isfinite(value).all():
                 raise ConfigError("must be finite")

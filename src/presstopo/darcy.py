@@ -12,13 +12,11 @@ flow matrix A and the design-independent transformation matrix T
 ``np.bincount`` of the scaled element templates into the mesh's fixed flow
 pattern; T is built once per mesh and thickness and then reused.
 ``solve_pressure(A, T, mesh, pressure_bc)`` maps the named edges to their
-nodes, reduces A p = 0 to the free nodes through the flow pattern's
-``Reduction`` for those nodes (built once per set of edges), solves it with
-the reduction's float32 factor of A_ff, in the mesh's nested-dissection
-order, refined in float64 and returns a frozen
-``PressureState`` holding A, T, p, the reduction and the refined solve,
-which the flow adjoint reuses; ``pressure_loads(T, p)`` gives the consistent
-nodal loads F = -T p.
+nodes and solves A p = 0 by ``Reduction.solve`` of the flow pattern's
+reduction for those nodes (built once per set of edges): a float32 factor
+of A_ff refined in float64.  It returns a frozen ``PressureState`` holding
+A, T, p, the reduction and the refined solve, which the flow adjoint
+reuses; ``pressure_loads(T, p)`` gives the consistent nodal loads F = -T p.
 """
 
 from __future__ import annotations
@@ -191,8 +189,7 @@ def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
     values = np.repeat(np.array(list(pressure_bc.values()), dtype=float),
                        [nodes.size for nodes in node_sets])
     try:
-        lu = reduction.factor(A, _RESIDUAL_TOL)
-        p = reduction.expand(lu(reduction.reduce(A, values)), values)
+        p, lu = reduction.solve(A, _RESIDUAL_TOL, values=values)
     except RuntimeError as exc:
         a_ff = reduction.blocks(A)[0]
         zero = np.asarray(abs(a_ff).sum(axis=1)).ravel() == 0.0

@@ -3,11 +3,10 @@
 ``assemble_stiffness(mesh, design, materials)`` scales the one unit-modulus
 element template by each element's interpolated modulus and sums the
 entries into the mesh's fixed stiffness pattern with one ``np.bincount``.
-``solve_displacements(K, F, mesh, fixed_dofs)`` reduces K u = F to the free
-DOFs through the stiffness pattern's ``Reduction`` for the supports (built
-once per set of supports), solves it with the reduction's float32 factor of
-K_ff, in the mesh's nested-dissection order, refined in float64, and checks
-the residual on the free DOFs.  Supports that leave a rigid-body mode free
+``solve_displacements(K, F, mesh, fixed_dofs)`` solves K u = F by
+``Reduction.solve`` of the stiffness pattern's reduction for the supports
+(built once per set of supports): a float32 factor of K_ff refined in
+float64, gated on its residual.  Supports that leave a rigid-body mode free
 are rejected before anything is factored.
 """
 
@@ -74,10 +73,9 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
     defaults to homogeneous supports; a DOF listed twice is rejected, and so
     is a non-finite load or prescribed value.  Supports that leave a
     rigid-body mode free raise ``SingularSystemError`` naming the mode.  The
-    reduced system
-    K_ff u_f = F_f - K_fd v is solved by the refined sparse LU of the
-    stiffness pattern's ``Reduction``; its residual must satisfy
-    ||K_ff u_f - (F_f - K_fd v)|| / ||F_f - K_fd v|| < 1e-9.
+    reduced system K_ff u_f = F_f - K_fd v is solved by ``Reduction.solve``;
+    its ``MixedLU.residual``, ||K_ff u_f - (F_f - K_fd v)|| / ||F_f - K_fd v||,
+    must be at most 1e-9.
     """
     F = np.asarray(F, dtype=float)
     if not np.all(np.isfinite(F)) or (
@@ -91,22 +89,14 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
         raise SingularSystemError(
             f"supports leave a rigid-body mode free: {', '.join(free_modes)}")
     try:
-        lu = reduction.factor(K, _RESIDUAL_TOL)
-        rhs = reduction.reduce(K, fixed_values, F)
-        u_free = lu(rhs)
+        u, lu = reduction.solve(K, _RESIDUAL_TOL, F, fixed_values)
     except RuntimeError as exc:
         raise SingularSystemError("stiffness matrix is singular") from exc
-    if not np.all(np.isfinite(u_free)):
+    if not np.all(np.isfinite(u)):
         raise SingularSystemError("stiffness solve produced non-finite values")
-    u = reduction.expand(u_free, fixed_values)
-
-    # taken in the order of ``free``, so that with homogeneous supports it
-    # is ||F_free|| bit for bit
-    rnorm = np.linalg.norm(reduction.expand(rhs)[reduction.free]) or 1.0
-    residual = np.linalg.norm(lu.matrix @ u_free - rhs) / rnorm
-    if residual > _RESIDUAL_TOL:
+    if lu.residual > _RESIDUAL_TOL:
         raise SolverError(
-            f"displacement solve residual {residual:.3e} exceeds "
+            f"displacement solve residual {lu.residual:.3e} exceeds "
             f"{_RESIDUAL_TOL:.1e}"
         )
     compliance = float(u @ F)

@@ -15,6 +15,7 @@ from presstopo import (
     FlowParams,
     InvalidArgumentError,
     MaterialSet,
+    SolverError,
     assemble_flow,
     assemble_stiffness,
     generate_mesh,
@@ -272,17 +273,20 @@ class TestPatternsBuiltOnce:
 class SpySplu:
     """Replaces ``spla.splu``, the module attribute both solves call, and
     records the dtype and column ordering of every factorization.  With
-    ``nan32`` the float32 factors solve to NaN."""
+    ``nan32`` the float32 factors solve to NaN; with ``scale64`` the float64
+    factors' solutions are scaled by it."""
 
-    def __init__(self, monkeypatch, nan32=False):
-        self.calls, self.nan32, self._real = [], nan32, spla.splu
+    def __init__(self, monkeypatch, nan32=False, scale64=None):
+        self.calls, self._real = [], spla.splu
+        self.nan32, self.scale64 = nan32, scale64
         monkeypatch.setattr(spla, "splu", self)
 
     def __call__(self, matrix, permc_spec=None):
         self.calls.append((matrix.dtype, permc_spec))
         lu = self._real(matrix, permc_spec=permc_spec)
-        return NaNFactor(lu) if self.nan32 and matrix.dtype == np.float32 \
-            else lu
+        if matrix.dtype == np.float32:
+            return NaNFactor(lu) if self.nan32 else lu
+        return lu if self.scale64 is None else ScaledFactor(lu, self.scale64)
 
 
 class NaNFactor:
@@ -291,6 +295,15 @@ class NaNFactor:
 
     def solve(self, b):
         return np.full(b.shape, np.nan, dtype=b.dtype)
+
+
+class ScaledFactor:
+    def __init__(self, lu, scale):
+        self._lu, self.scale = lu, scale
+        self.perm_c, self.nnz = lu.perm_c, lu.nnz
+
+    def solve(self, b):
+        return self.scale * self._lu.solve(b)
 
 
 def float64_solve(matrix, free, rhs):
@@ -389,24 +402,37 @@ class TestRefinedSolve:
         k = assemble_stiffness(mesh, design, MATS)
         reduction = mesh_integrals(mesh).stiffness_pattern.reduction(fixed)
         f = rng.normal(size=k.shape[0])
-        rhs = reduction.reduce(k, None, f)
-        lu = reduction.factor(k, 1e-9)
-        x = lu(rhs)
+        x, lu = reduction.solve(k, 1e-9, f)
         assert lu.fallbacks == 0
         # the first float32 solution misses the gate; with no refinement
         # step allowed, the solve falls back to one float64 factor
-        m_ff = lu.matrix
+        m_ff, rhs = lu.matrix, f[reduction.rows]
         x32 = spla.splu(m_ff.astype(np.float32), permc_spec="NATURAL").solve(
             rhs.astype(np.float32))
         assert np.linalg.norm(rhs - m_ff @ x32) > 1e-9 * np.linalg.norm(rhs)
         monkeypatch.setattr(_element_data, "_MAX_STEPS", 0)
         spy = SpySplu(monkeypatch)
-        stalled = reduction.factor(k, 1e-9)
-        y = stalled(rhs)
+        y, stalled = reduction.solve(k, 1e-9, f)
         assert stalled.fallbacks == 1
         assert spy.calls == [(np.float32, "NATURAL"), (np.float64, "NATURAL")]
-        assert np.linalg.norm(rhs - m_ff @ y) <= 1e-9 * np.linalg.norm(rhs)
+        residual = np.linalg.norm(rhs - m_ff @ y[reduction.rows])
+        assert residual <= 1e-9 * np.linalg.norm(rhs)
+        assert stalled.residual <= 1e-9
+        assert stalled.residual == pytest.approx(
+            residual / np.linalg.norm(rhs), rel=1e-6)
         assert relative_error(y, x) <= 1e-12
+
+    def test_fallback_missing_gate_raises(self, monkeypatch):
+        # the float64 factor's solution is off by a relative 1e-6, so the
+        # residual after the fallback misses the 1e-9 gate
+        mesh, design, fixed, rng = self._problem(2)
+        k = assemble_stiffness(mesh, design, MATS)
+        f = rng.normal(size=k.shape[0])
+        monkeypatch.setattr(_element_data, "_MAX_STEPS", 0)
+        spy = SpySplu(monkeypatch, scale64=1.0 + 1e-6)
+        with pytest.raises(SolverError, match="displacement solve residual"):
+            solve_displacements(k, f, mesh, fixed)
+        assert [dtype for dtype, _ in spy.calls] == [np.float32, np.float64]
 
     def test_nan_residual_engages_fallback(self, monkeypatch):
         mesh, design, fixed, rng = self._problem(3)

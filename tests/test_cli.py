@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from presstopo.cli import EXIT_CONFIG, EXIT_OK, main
+from presstopo import FlowParams, MaterialSet
+from presstopo.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from presstopo.config import (
     ProblemConfig,
     SupportSpec,
@@ -141,6 +144,37 @@ class TestValidate:
                       SupportSpec("bottom", 0.8, 1.0)),
             max_iterations=2, log_every=1, name="tiny")
 
+    def test_required_fields_take_material_and_flow_defaults(self):
+        cfg = ProblemConfig(lx=0.2, ly=0.1, nex=8, ney=5,
+                            e_moduli=(40e6, 100e6))
+        assert cfg.materials() == MaterialSet((40e6, 100e6))
+        assert replace(cfg.flow_params(0.01), d_solid=0.0) == FlowParams()
+
+    @pytest.mark.parametrize("option, value", [
+        ("write_vtk", "ture"), ("write_svg", "2"),
+        ("pressure_isolines", "enabled"),
+    ])
+    def test_misspelt_boolean_rejected(self, tmp_path, capsys, option,
+                                       value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG.replace(
+            "[output]", f"[output]\n{option} = {value}"))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert f"[output] {option} = {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, expected", [
+        ("no", False), ("off", False), ("0", False), ("False", False),
+        ("YES", True), ("on", True), ("1", True), ("True", True),
+    ])
+    def test_boolean_values(self, tmp_path, value, expected):
+        path = tmp_path / "flags.cfg"
+        path.write_text(TINY_CONFIG.replace(
+            "[output]", f"[output]\nwrite_vtk = {value}\n"
+                        f"write_svg = {value}\npressure_isolines = {value}"))
+        cfg = load_config(path)
+        assert (cfg.write_vtk, cfg.write_svg, cfg.pressure_isolines) == \
+            (expected,) * 3
+
     def test_builtin_names_resolve(self):
         assert set(builtin_config_names()) == {
             "arch-2mat", "arch-3mat", "piston-2mat", "piston-3mat"}
@@ -176,8 +210,6 @@ class TestRun:
         assert len(lines) == 3  # header + 2 iterations
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
-        from presstopo.cli import EXIT_SOLVER
-
         # validates fine but leaves fewer than three constrained DOFs
         path = tmp_path / "underconstrained.cfg"
         path.write_text(TINY_CONFIG.replace(
@@ -204,6 +236,20 @@ class TestGradientCheck:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "PASS" in out
+
+    def test_zero_gradient_fails(self, tmp_path, capsys):
+        # no pressure difference: zero load, so every component is zero and
+        # none is above the noise floor
+        path = tmp_path / "unloaded.cfg"
+        path.write_text(TINY_CONFIG.replace(
+            "[optimizer]", "[pressure]\ninlet_value = 0\n\n[optimizer]"))
+        code = main(["gradient-check", "--config", str(path),
+                     "--elements", "4x3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_SOLVER
+        assert "components checked  0 / 24" in captured.out
+        assert "FAIL: no gradient component is above the noise floor" \
+            in captured.err
 
     def test_bad_elements_argument(self, tiny_config):
         code = main(["gradient-check", "--config", str(tiny_config),
