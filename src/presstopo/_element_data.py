@@ -29,13 +29,18 @@ dissection of the honeycomb's element grid (George 1973, SIAM J. Numer.
 Anal. 10:345; ``nested_dissection``).  Boxes of element columns and rows are
 halved across their longer side, and the nodes shared across a cut are its
 separator, so the order needs no search.  It is built with the patterns, so
-the gathers return M_ff already permuted, and ``MixedLU`` factors it as it
-is (SuperLU with ``NATURAL``): the float32 copy of M_ff, with solutions
+the gathers return M_ff already permuted.  The same pass groups the nodes
+into the fronts of a multifrontal Cholesky factor (Duff & Reid 1983; Liu
+1992): each separator is one front, and so is each box of at most
+``2**_LEAF_BITS`` elements.  Each ``Reduction`` builds the symbolic part of
+that factor for its M_ff once (``EliminationTree``), and ``MixedLU``
+factors M_ff on it (``Cholesky``, from LAPACK's ``potrf``, ``trtri`` and
+BLAS ``trsm`` and ``syrk``): the float32 copy of M_ff, with solutions
 refined in float64 (Langou et al. 2006; Carson & Higham 2018), and one
-float64 factorization as the fallback when that factorization fails or
-refinement misses the caller's residual gate.  ``MixedLU.residual`` is the
-||c - M_ff x_f|| / ||c|| of its last solve, which the displacement solve
-gates on.
+float64 factorization by the same code as the fallback when that
+factorization meets a pivot that is not positive or refinement misses the
+caller's residual gate.  ``MixedLU.residual`` is the ||c - M_ff x_f|| / ||c||
+of its last solve, which the displacement solve gates on.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import InvalidArgumentError
 from .honeymesh import _wachspress, hex_quadrature
@@ -52,6 +57,9 @@ from .honeymesh import _wachspress, hex_quadrature
 # refinement steps after the first float32 solve of a right-hand side; the
 # residual usually stops halving well before this many
 _MAX_STEPS = 10
+# every box of at most 2**_LEAF_BITS elements is one dense leaf front of the
+# Cholesky factor; 4, 5 and 6 were measured and 5 was fastest at 180x120
+_LEAF_BITS = 5
 
 
 def element_quadrature(vertices):
@@ -81,8 +89,9 @@ def _read_only(*arrays):
 
 def nested_dissection(conn, nex, ney):
     """Rank of each node in a nested-dissection order of the element grid
-    (George 1973): element ``c * ney + r`` is column c, row r of an
-    ``nex`` x ``ney`` grid, and ``conn`` lists its nodes.
+    (George 1973), and the front of the Cholesky factor that eliminates it:
+    element ``c * ney + r`` is column c, row r of an ``nex`` x ``ney`` grid,
+    and ``conn`` lists its nodes.
 
     Every box of elements ``[c0, c1) x [r0, r1)`` with more than one element
     is halved at its middle column if it has at least as many columns as
@@ -95,6 +104,11 @@ def nested_dissection(conn, nex, ney):
     element (``below`` 0).  Sorting the nodes by the greatest path in their
     part (its prefix followed by 1s), then by ``below``, gives every box one
     run of ranks: its lower half, its upper half, then its separator.
+
+    The fronts number the parts in rank order, with every part of a box of
+    at most ``2**_LEAF_BITS`` elements merged into that box: ``below`` is
+    clamped at ``_LEAF_BITS``, and each box's run of ranks keeps its merged
+    parts together.
     """
     cell = np.arange(nex * ney)
     grid = np.column_stack(np.divmod(cell, ney))
@@ -113,9 +127,16 @@ def nested_dissection(conn, nex, ney):
     np.minimum.at(first, conn, path[:, None])
     np.maximum.at(last, conn, path[:, None])
     below = np.frexp(first ^ last)[1].astype(np.int64)  # bit length
+    order = np.lexsort((below, last | ((1 << below) - 1)))
     rank = np.empty(n, dtype=np.int64)
-    rank[np.lexsort((below, last | ((1 << below) - 1)))] = np.arange(n)
-    return rank
+    rank[order] = np.arange(n)
+    # a front is a box: its level above the elements and its path prefix
+    below = np.maximum(below, _LEAF_BITS)[order]
+    prefix = last[order] >> below
+    front = np.empty(n, dtype=np.int64)
+    front[order] = np.cumsum(np.r_[0, (below[1:] != below[:-1])
+                                   | (prefix[1:] != prefix[:-1])])
+    return rank, front
 
 
 class Pattern:
@@ -127,12 +148,13 @@ class Pattern:
     position of each element's node pair.  ``block=(br, bc)`` expands it to
     ``br`` interleaved DOFs per row node and ``bc`` per column node (DOF
     ``br * node + d``), the layout of ``MeshIntegrals.udofs``.  A square
-    pattern that reductions are taken on gets ``node_rank``, the node order
-    its blocks are factored in; DOF ``br * node + d`` takes ``rank``
-    ``br * node_rank[node] + d``.
+    pattern that reductions are taken on gets ``node_order``, the rank of
+    each node in the order its blocks are factored in and the front that
+    eliminates it; DOF ``br * node + d`` takes ``rank``
+    ``br * node_rank[node] + d`` and its node's ``front``.
     """
 
-    def __init__(self, node_ptr, node_cols, node_slot, block, node_rank=None):
+    def __init__(self, node_ptr, node_cols, node_slot, block, node_order=None):
         br, bc = block
         n = node_ptr.size - 1
         self.nnz = node_cols.size * br * bc
@@ -148,8 +170,10 @@ class Pattern:
         # element entry (br a + d, bc b + e) sits at pos[node_slot[., a, b], d, e]
         self.slot = pos.reshape(-1, br, bc)[node_slot].transpose(
             0, 1, 3, 2, 4).ravel()
-        self.rank = None if node_rank is None else (
-            br * node_rank[:, None] + np.arange(br)).ravel()
+        if node_order is not None:
+            node_rank, node_front = node_order
+            self.rank = (br * node_rank[:, None] + np.arange(br)).ravel()
+            self.front = np.repeat(node_front, br)
         _read_only(self.indptr, self.indices, self.slot)
         self._reductions = {}
 
@@ -177,7 +201,8 @@ class Reduction:
     ``fixed`` is sorted and ``order`` is the permutation that sorted it, so
     the value passed with the i-th fixed index stays on that index; ``free``
     is the sorted rest.  The reduced unknowns are the free indices in the
-    order ``rows``, ``free`` sorted by the pattern's fill-reducing ``rank``.
+    order ``rows``, ``free`` sorted by the pattern's fill-reducing ``rank``;
+    ``tree`` is the symbolic Cholesky factor of M_ff on the pattern's fronts.
     """
 
     def __init__(self, pattern, fixed):
@@ -200,6 +225,7 @@ class Reduction:
         self._slots = tuple(slots[:, cols] for cols in (self.rows, self.fixed))
         for s in self._slots:
             s.data -= 1
+        self.tree = EliminationTree(self._slots[0], pattern.front[self.rows])
         _read_only(self.order, self.fixed, self.free, self.rows,
                    *(a for s in self._slots
                      for a in (s.data, s.indices, s.indptr)))
@@ -220,8 +246,8 @@ class Reduction:
 
         ``values`` are paired with the fixed indices in the order they were
         passed; they and ``b`` default to zero.  ``tol`` is the refinement's
-        gate on the residual.  Raises ``RuntimeError`` when M_ff is singular
-        in double precision too.
+        gate on the residual.  Raises ``RuntimeError`` when M_ff is not
+        positive definite in double precision either.
         """
         m_ff, m_fd = self.blocks(matrix)
         if values is None:
@@ -235,7 +261,7 @@ class Reduction:
         c = -(m_fd @ v)
         if b is not None:
             c += b[self.rows]
-        lu = MixedLU(m_ff, tol)
+        lu = MixedLU(m_ff, tol, self.tree)
         x = self.expand(lu(c))
         x[self.fixed] = v
         return x, lu
@@ -248,33 +274,207 @@ class Reduction:
         return out
 
 
-class MixedLU:
-    """Solves M x = b for a float64 CSC matrix M, in its own order, with a
-    single-precision LU factor refined in double precision, after Langou et
-    al. 2006 and Carson & Higham 2018 (SIAM J. Sci. Comput. 40:A817).
+class EliminationTree:
+    """The symbolic part of the multifrontal Cholesky factor (Duff & Reid
+    1983, ACM TOMS 9:302; Liu 1992, SIAM Review 34:82) of every matrix on
+    one symmetric CSC ``pattern``, built once per ``Reduction``.
 
-    SuperLU factors the float32 copy of M (``NATURAL``).  Refinement repeats
-    x += LU32^-1 r, r = b - M x in float64 until ||r|| / ||b|| no longer
-    halves, at most ``_MAX_STEPS`` times.  When the float32 factorization
-    fails, or a refined result misses ``tol`` (or is not finite), M is
-    factored once in float64 and that factor solves from then on;
-    ``fallbacks`` counts it.  ``steps`` holds the refinement steps of the
-    last solve and ``residual`` its ||b - M x|| / ||b||.
+    ``front`` assigns each unknown to a front, in non-decreasing order, so
+    that each front eliminates one run of unknowns, its pivots, as one
+    dense block.  Its ``struct`` is the later unknowns its block column of L
+    reaches: the rows of its own columns below its pivots and the structs
+    of its children.  The parent of a front is the front of the first
+    unknown in its struct, which holds every unknown of that struct in its
+    own pivots or struct, so a child's update matrix (struct x struct) is
+    added into its parent's front by slices, one pair per pair of the
+    contiguous runs its struct takes in the parent.
+
+    ``fronts`` holds, per front in elimination order: its numbers of pivots
+    and of struct unknowns; the slice of ``gather`` (the positions of the
+    lower triangle in the pattern's ``data``) that holds its own columns,
+    and where each entry goes in its dense pivot and L21 blocks; its
+    children with their slices (``_extend_add``); and its level and slot.
+    Fronts of one height in the tree (leaves 0) do not depend on each
+    other; ``levels`` lists, per height, their pivots and structs padded to
+    common sizes with the index ``n``, for the batched triangular solves.
     """
 
-    def __init__(self, matrix, tol):
-        self.matrix, self.tol = matrix, tol
+    def __init__(self, pattern, front):
+        n = self.n = front.size
+        bounds = np.r_[np.flatnonzero(np.diff(front, prepend=-1)), n]
+        n_fronts = bounds.size - 1
+        owner = np.repeat(np.arange(n_fronts), np.diff(bounds))
+        # the lower triangle, in CSC order and so grouped by front
+        col = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        self.gather = np.flatnonzero(pattern.indices >= col)
+        row, col = pattern.indices[self.gather], col[self.gather]
+        f = owner[col]
+        entry_ptr = np.searchsorted(f, np.arange(n_fronts + 1))
+        past = row >= bounds[f + 1]
+        own_f, own_rows = np.divmod(np.unique(f[past] * n + row[past]), n)
+        own_ptr = np.searchsorted(own_f, np.arange(n_fronts + 1))
+
+        fronts, structs, height = [], [], []
+        children = [[] for _ in range(n_fronts)]
+        for s, (start, end) in enumerate(zip(bounds[:-1].tolist(),
+                                             bounds[1:].tolist())):
+            p = end - start
+            struct = np.unique(np.concatenate(
+                [own_rows[own_ptr[s]:own_ptr[s + 1]]]
+                + [structs[c][structs[c] >= end] for c in children[s]]))
+            index = np.concatenate([np.arange(start, end), struct])
+            adds = [(c, _extend_add(np.searchsorted(index, structs[c]), p))
+                    for c in children[s]]
+            lo, hi = entry_ptr[s], entry_ptr[s + 1]
+            r, j = row[lo:hi], col[lo:hi] - start
+            dst = np.where(r < end, r - start + p * j,
+                           p * p + np.searchsorted(struct, r) + struct.size * j)
+            fronts.append((p, struct.size, slice(lo, hi), dst, adds))
+            structs.append(struct)
+            height.append(max((height[c] + 1 for c in children[s]), default=0))
+            if struct.size:
+                children[owner[struct[0]]].append(s)
+
+        # each front gets its level and its slot there
+        self.levels, self.fronts = [], []
+        members = [[] for _ in range(max(height, default=-1) + 1)]
+        for s, h in enumerate(height):
+            self.fronts.append(fronts[s] + (h, len(members[h])))
+            members[h].append(s)
+        for level in members:
+            p_max = max(fronts[s][0] for s in level)
+            u_max = max(fronts[s][1] for s in level)
+            piv = np.full((len(level), p_max), n)
+            upd = np.full((len(level), u_max), n)
+            for i, s in enumerate(level):
+                piv[i, :fronts[s][0]] = np.arange(bounds[s], bounds[s + 1])
+                upd[i, :fronts[s][1]] = structs[s]
+            self.levels.append((piv, upd))
+        _read_only(self.gather, *(a for level in self.levels for a in level),
+                   *(front[3] for front in fronts))
+
+
+def _extend_add(pos, p):
+    """Slices adding a child's update, whose rows and columns sit at
+    positions ``pos`` of a front with ``p`` pivots, into the front's lower
+    triangle: (block, rows, cols, child rows, child cols), block 0 the
+    pivot block, 1 the struct x pivot block and 2 the struct block."""
+    cut = (np.flatnonzero((np.diff(pos) != 1) | (pos[1:] == p)) + 1).tolist()
+    # each run: child range [a, b), whether it lies in the struct, and its
+    # first position in that block
+    runs = [(a, b, int(at >= p), at - p * (at >= p)) for a, b, at in
+            zip([0] + cut, cut + [pos.size], pos[[0] + cut].tolist())]
+    return [(in_a + in_b, slice(ra, ra + a1 - a0), slice(rb, rb + b1 - b0),
+             slice(a0, a1), slice(b0, b1))
+            for i, (a0, a1, in_a, ra) in enumerate(runs)
+            for b0, b1, in_b, rb in runs[:i + 1]]
+
+
+class Cholesky:
+    """Multifrontal Cholesky factor L L^T, in ``dtype``, of the matrix with
+    ``data`` on the pattern of ``tree``.
+
+    Each front, in order, gathers its entries of the lower triangle, adds
+    its children's update matrices, and calls ``potrf`` on its pivot block,
+    ``trsm`` for the L21 block below it and ``syrk`` for its own update
+    matrix.  The inverse of each pivot block (``trtri``) and each L21 are
+    stored in the padded arrays of the front's level, so a solve is two
+    batched products per level and sweep, and one ``np.bincount`` per level
+    that adds the forward sweep's updates.  ``nnz`` counts the stored
+    entries, padding included.  Raises ``np.linalg.LinAlgError`` when a
+    pivot block is not positive definite.
+    """
+
+    def __init__(self, tree, data, dtype):
+        potrf, trtri = get_lapack_funcs(("potrf", "trtri"), dtype=dtype)
+        trsm, syrk = get_blas_funcs(("trsm", "syrk"), dtype=dtype)
+        self.n = tree.n
+        # per level: the transposes of each front's inverse pivot block and
+        # L21, zero-padded, stored row by row as LAPACK returns them
+        self.levels = [(piv, upd,
+                        np.zeros((piv.shape[0], piv.shape[1], piv.shape[1]),
+                                 dtype),
+                        np.zeros((piv.shape[0], piv.shape[1], upd.shape[1]),
+                                 dtype))
+                       for piv, upd in tree.levels]
+        self.nnz = sum(inv.size + l21.size for _, _, inv, l21 in self.levels)
+        values = data[tree.gather].astype(dtype)
+        updates = {}
+        for s, (p, u, entries, dst, adds, level, i) in enumerate(tree.fronts):
+            buf = np.zeros(p * (p + u), dtype)
+            buf[dst] = values[entries]
+            blocks = (buf[:p * p].reshape((p, p), order="F"),
+                      buf[p * p:].reshape((u, p), order="F"),
+                      np.zeros((u, u), dtype, order="F"))
+            for child, slices in adds:
+                update = updates.pop(child)
+                for block, rows, cols, child_rows, child_cols in slices:
+                    blocks[block][rows, cols] += update[child_rows, child_cols]
+            l11, info = potrf(blocks[0], lower=1, overwrite_a=1)
+            if info:
+                raise np.linalg.LinAlgError(
+                    f"front {s} is not positive definite")
+            _, _, inv_t, l21_t = self.levels[level]
+            if u:
+                l21 = trsm(1.0, l11, blocks[1], side=1, lower=1, trans_a=1,
+                           overwrite_b=1)
+                l21_t[i, :p, :u] = l21.T
+                updates[s] = syrk(-1.0, l21, beta=1.0, c=blocks[2], lower=1,
+                                  overwrite_c=1)
+            inv_t[i, :p, :p] = trtri(l11, lower=1, overwrite_c=1)[0].T
+
+    def solve(self, b):
+        """x with L L^T x = b; ``b`` in the factor's dtype."""
+        x = np.zeros(self.n + 1, dtype=b.dtype)  # x[n] is the padding
+        x[:-1] = b
+        for piv, upd, inv_t, l21_t in self.levels:
+            y = np.matmul(x[piv][:, None, :], inv_t)
+            x[piv] = y[:, 0, :]
+            x -= np.bincount(upd.ravel(), np.matmul(y, l21_t).ravel(),
+                             minlength=x.size).astype(x.dtype)
+        for piv, upd, inv_t, l21_t in reversed(self.levels):
+            z = x[piv] - np.matmul(l21_t, x[upd][:, :, None])[:, :, 0]
+            x[piv] = np.matmul(inv_t, z[:, :, None])[:, :, 0]
+        return x[:-1]
+
+
+class MixedLU:
+    """Solves M x = b for a float64 symmetric positive definite CSC matrix
+    M, in its own order, with a single-precision Cholesky factor refined in
+    double precision, after Langou et al. 2006 and Carson & Higham 2018
+    (SIAM J. Sci. Comput. 40:A817).
+
+    ``Cholesky`` factors the float32 copy of M on the fronts of ``tree``.
+    Refinement repeats x += (LL^T)32^-1 r, r = b - M x in float64 until
+    ||r|| / ||b|| no longer halves, at most ``_MAX_STEPS`` times.  When the
+    float32 factorization fails (a pivot that is not positive), or a
+    refined result misses ``tol`` (or is not finite), M is factored once in
+    float64 by the same code and that factor solves from then on;
+    ``fallbacks`` counts it, and a float64 failure raises ``RuntimeError``.
+    ``steps`` holds the refinement steps of the last solve, ``residual`` its
+    ||b - M x|| / ||b||, and ``nnz`` the stored entries of the factor in use.
+    """
+
+    def __init__(self, matrix, tol, tree):
+        self.matrix, self.tol, self._tree = matrix, tol, tree
         self._lu64 = None
         self.steps = self.fallbacks = 0
         try:
-            self._lu32 = spla.splu(matrix.astype(np.float32),
-                                   permc_spec="NATURAL")
-        except RuntimeError:  # singular in single precision
+            self._lu32 = Cholesky(tree, matrix.data, np.float32)
+        except np.linalg.LinAlgError:  # not positive definite in float32
             self._factor64()
+
+    @property
+    def nnz(self):
+        return (self._lu32 if self._lu64 is None else self._lu64).nnz
 
     def _factor64(self):
         self.fallbacks += 1
-        self._lu64 = spla.splu(self.matrix, permc_spec="NATURAL")
+        try:
+            self._lu64 = Cholesky(self._tree, self.matrix.data, np.float64)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"matrix is not positive definite: {exc}") \
+                from exc
 
     def __call__(self, b):
         if self._lu64 is None:
@@ -357,24 +557,25 @@ class MeshIntegrals:
         return node_ptr, pairs % n, slot.reshape(self.conn.shape + (6,))
 
     @cached_property
-    def node_rank(self):
-        """Rank of each node in the mesh's nested-dissection order, built
-        once, with the first pattern that needs it."""
-        rank = nested_dissection(self.conn, *self.grid)
-        _read_only(rank)
-        return rank
+    def node_order(self):
+        """Rank of each node in the mesh's nested-dissection order and the
+        front that eliminates it, built once, with the first pattern that
+        needs them."""
+        order = nested_dissection(self.conn, *self.grid)
+        _read_only(*order)
+        return order
 
     @cached_property
     def flow_pattern(self) -> Pattern:
         """Pattern of the (n_nodes, n_nodes) flow matrix A."""
         return Pattern(*self._node_pattern, block=(1, 1),
-                       node_rank=self.node_rank)
+                       node_order=self.node_order)
 
     @cached_property
     def stiffness_pattern(self) -> Pattern:
         """Pattern of the (2 n_nodes, 2 n_nodes) stiffness matrix K."""
         return Pattern(*self._node_pattern, block=(2, 2),
-                       node_rank=self.node_rank)
+                       node_order=self.node_order)
 
     def load_matrix(self, thickness):
         """(2 n_nodes, n_nodes) transformation T, built once per thickness;

@@ -5,8 +5,11 @@ The oracle assembles every element matrix into a dense array one element at
 a time; the reductions' free blocks are compared with dense slicing.
 """
 
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from presstopo import (
     FlowParams,
     InvalidArgumentError,
     MaterialSet,
+    SingularSystemError,
     SolverError,
     assemble_flow,
     assemble_stiffness,
@@ -173,12 +177,15 @@ class TestScatterAssembly:
     def test_node_order_is_a_nested_dissection(self, problem):
         mesh = problem[0]
         data = mesh_integrals(mesh)
-        rank = _element_data.nested_dissection(mesh.elements, mesh.nex,
-                                               mesh.ney)
+        rank, front = _element_data.nested_dissection(mesh.elements, mesh.nex,
+                                                      mesh.ney)
         assert np.array_equal(np.sort(rank), np.arange(mesh.n_nodes))
-        assert np.array_equal(rank, data.node_rank)
-        assert np.array_equal(rank, _element_data.nested_dissection(
-            mesh.elements, mesh.nex, mesh.ney))
+        assert np.array_equal(rank, data.node_order[0])
+        assert np.array_equal(front, data.node_order[1])
+        again = _element_data.nested_dissection(mesh.elements, mesh.nex,
+                                                mesh.ney)
+        assert np.array_equal(rank, again[0])
+        assert np.array_equal(front, again[1])
 
         part, boxes = node_parts(mesh)
         # an edge joins two nodes of nested parts, so no edge joins the two
@@ -198,12 +205,27 @@ class TestScatterAssembly:
             assert np.array_equal(np.sort(own), np.arange(
                 held.max() - own.size + 1, held.max() + 1))
 
+        # a front is a separator of a box more than _LEAF_BITS levels above
+        # the elements, or a whole box at that level; fronts number the
+        # boxes in rank order
+        chains = element_boxes(mesh.nex, mesh.ney)
+        leaf = max(max(len(chain) for chain in chains) - 1
+                   - _element_data._LEAF_BITS, 0)
+        boxes = []
+        for node, box in enumerate(part):
+            chain = chains[np.flatnonzero(mesh.elements == node)[0] // 6]
+            boxes.append(box if chain.index(box) < leaf else chain[leaf])
+        assert np.all(np.diff(front[np.argsort(rank)]) >= 0)
+        for u in range(mesh.n_nodes):
+            assert np.array_equal(front == front[u],
+                                  [box == boxes[u] for box in boxes])
+
 
 class TestPatternsBuiltOnce:
     def test_lazy_and_shared_per_mesh(self):
         mesh = generate_mesh(5, 4, 1.0, 0.8)
         data = mesh_integrals(mesh)
-        built = ("_node_pattern", "node_rank", "flow_pattern",
+        built = ("_node_pattern", "node_order", "flow_pattern",
                  "stiffness_pattern")
         assert not any(name in vars(data) for name in built)
 
@@ -270,40 +292,41 @@ class TestPatternsBuiltOnce:
             reduction.blocks(k)
 
 
-class SpySplu:
-    """Replaces ``spla.splu``, the module attribute both solves call, and
-    records the dtype and column ordering of every factorization.  With
-    ``nan32`` the float32 factors solve to NaN; with ``scale64`` the float64
-    factors' solutions are scaled by it."""
+class SpyFactor:
+    """Replaces ``_element_data.Cholesky``, the factor both solves make, and
+    records the dtype of every factorization.  With ``nan32`` the float32
+    factors solve to NaN; with ``scale64`` the float64 factors' solutions
+    are scaled by it."""
 
     def __init__(self, monkeypatch, nan32=False, scale64=None):
-        self.calls, self._real = [], spla.splu
+        self.calls, self._real = [], _element_data.Cholesky
         self.nan32, self.scale64 = nan32, scale64
-        monkeypatch.setattr(spla, "splu", self)
+        monkeypatch.setattr(_element_data, "Cholesky", self)
 
-    def __call__(self, matrix, permc_spec=None):
-        self.calls.append((matrix.dtype, permc_spec))
-        lu = self._real(matrix, permc_spec=permc_spec)
-        if matrix.dtype == np.float32:
-            return NaNFactor(lu) if self.nan32 else lu
-        return lu if self.scale64 is None else ScaledFactor(lu, self.scale64)
+    def __call__(self, tree, data, dtype):
+        self.calls.append(dtype)
+        factor = self._real(tree, data, dtype)
+        if dtype == np.float32:
+            return NaNFactor(factor) if self.nan32 else factor
+        return factor if self.scale64 is None else ScaledFactor(factor,
+                                                                self.scale64)
 
 
 class NaNFactor:
-    def __init__(self, lu):
-        self.perm_c, self.nnz = lu.perm_c, lu.nnz
+    def __init__(self, factor):
+        self.nnz = factor.nnz
 
     def solve(self, b):
         return np.full(b.shape, np.nan, dtype=b.dtype)
 
 
 class ScaledFactor:
-    def __init__(self, lu, scale):
-        self._lu, self.scale = lu, scale
-        self.perm_c, self.nnz = lu.perm_c, lu.nnz
+    def __init__(self, factor, scale):
+        self._factor, self.scale = factor, scale
+        self.nnz = factor.nnz
 
     def solve(self, b):
-        return self.scale * self._lu.solve(b)
+        return self.scale * self._factor.solve(b)
 
 
 def float64_solve(matrix, free, rhs):
@@ -338,7 +361,15 @@ class TestRefinedSolve:
             return order(*args)
 
         monkeypatch.setattr(_element_data, "nested_dissection", counted)
-        spy = SpySplu(monkeypatch)
+        trees = []
+        tree = _element_data.EliminationTree
+
+        def counted_tree(*args):
+            trees.append(args)
+            return tree(*args)
+
+        monkeypatch.setattr(_element_data, "EliminationTree", counted_tree)
+        spy = SpyFactor(monkeypatch)
         mesh, design, fixed, rng = self._problem(0)
         n = 4
         for _ in range(n):
@@ -347,8 +378,9 @@ class TestRefinedSolve:
                            {"top": 1e5, "bottom": 0.0})
             k = assemble_stiffness(mesh, design, MATS)
             solve_displacements(k, rng.normal(size=k.shape[0]), mesh, fixed)
-        assert spy.calls == [(np.float32, "NATURAL")] * (2 * n)
+        assert spy.calls == [np.float32] * (2 * n)
         assert len(built) == 1
+        assert len(trees) == 2  # one per reduction
 
     def test_fill_at_most_minimum_degree(self):
         # the desk arch (arch-2mat on 61x30) and the desk piston
@@ -407,14 +439,14 @@ class TestRefinedSolve:
         # the first float32 solution misses the gate; with no refinement
         # step allowed, the solve falls back to one float64 factor
         m_ff, rhs = lu.matrix, f[reduction.rows]
-        x32 = spla.splu(m_ff.astype(np.float32), permc_spec="NATURAL").solve(
-            rhs.astype(np.float32))
+        x32 = _element_data.Cholesky(reduction.tree, m_ff.data,
+                                     np.float32).solve(rhs.astype(np.float32))
         assert np.linalg.norm(rhs - m_ff @ x32) > 1e-9 * np.linalg.norm(rhs)
         monkeypatch.setattr(_element_data, "_MAX_STEPS", 0)
-        spy = SpySplu(monkeypatch)
+        spy = SpyFactor(monkeypatch)
         y, stalled = reduction.solve(k, 1e-9, f)
         assert stalled.fallbacks == 1
-        assert spy.calls == [(np.float32, "NATURAL"), (np.float64, "NATURAL")]
+        assert spy.calls == [np.float32, np.float64]
         residual = np.linalg.norm(rhs - m_ff @ y[reduction.rows])
         assert residual <= 1e-9 * np.linalg.norm(rhs)
         assert stalled.residual <= 1e-9
@@ -429,20 +461,20 @@ class TestRefinedSolve:
         k = assemble_stiffness(mesh, design, MATS)
         f = rng.normal(size=k.shape[0])
         monkeypatch.setattr(_element_data, "_MAX_STEPS", 0)
-        spy = SpySplu(monkeypatch, scale64=1.0 + 1e-6)
+        spy = SpyFactor(monkeypatch, scale64=1.0 + 1e-6)
         with pytest.raises(SolverError, match="displacement solve residual"):
             solve_displacements(k, f, mesh, fixed)
-        assert [dtype for dtype, _ in spy.calls] == [np.float32, np.float64]
+        assert spy.calls == [np.float32, np.float64]
 
     def test_nan_residual_engages_fallback(self, monkeypatch):
         mesh, design, fixed, rng = self._problem(3)
-        spy = SpySplu(monkeypatch, nan32=True)
+        spy = SpyFactor(monkeypatch, nan32=True)
         k = assemble_stiffness(mesh, design, MATS)
         f = rng.normal(size=k.shape[0])
         u, _ = solve_displacements(k, f, mesh, fixed)
         free = np.setdiff1d(np.arange(k.shape[0]), fixed)
         assert np.all(np.isfinite(u))
-        assert [dtype for dtype, _ in spy.calls] == [np.float32, np.float64]
+        assert spy.calls == [np.float32, np.float64]
         assert relative_error(u[free], float64_solve(k, free, f[free])) \
             <= 1e-12
 
@@ -453,4 +485,116 @@ class TestRefinedSolve:
         assert np.all(np.isfinite(state.p))
         assert np.all(np.isfinite(state.adjoint_solve(f[:mesh.n_nodes])))
         # the adjoint reuses the float64 factor
-        assert [dtype for dtype, _ in spy.calls] == [np.float32, np.float64]
+        assert spy.calls == [np.float32, np.float64]
+
+    def test_nnz_counts_the_factor_in_use(self, monkeypatch):
+        mesh, design, fixed, rng = self._problem(2)
+        k = assemble_stiffness(mesh, design, MATS)
+        reduction = mesh_integrals(mesh).stiffness_pattern.reduction(fixed)
+        f = rng.normal(size=k.shape[0])
+        _, lu = reduction.solve(k, 1e-9, f)
+        factor = _element_data.Cholesky(reduction.tree, lu.matrix.data,
+                                        np.float32)
+        assert lu.nnz == factor.nnz == sum(
+            inv.size + l21.size for _, _, inv, l21 in factor.levels)
+        # every nonzero of L is stored
+        dense = np.linalg.cholesky(lu.matrix.toarray())
+        assert lu.nnz >= np.count_nonzero(dense)
+        monkeypatch.setattr(_element_data, "_MAX_STEPS", 0)
+        _, stalled = reduction.solve(k, 1e-9, f)
+        assert stalled.fallbacks == 1
+        assert stalled.nnz == factor.nnz
+
+
+# a mesh within one leaf front, a few leaf fronts, a thin strip, and one
+# with separators on several levels
+FACTOR_MESHES = ((1, 1), (2, 3), (7, 5), (33, 4), (20, 17))
+
+
+@st.composite
+def factor_problems(draw):
+    nex, ney = draw(st.sampled_from(FACTOR_MESHES))
+    mesh = generate_mesh(nex, ney, 0.1 * nex, 0.1 * ney)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = make_uniform_design(mesh, [0.5, 0.5])
+    design.filtered = rng.uniform(0.3, 1.0, design.filtered.shape)
+    # two whole nodes hold every rigid-body mode; single DOFs join them
+    nodes = rng.choice(mesh.n_nodes, replace=False,
+                       size=draw(st.integers(2, mesh.n_nodes - 1)))
+    dofs = rng.choice(2 * mesh.n_nodes, size=draw(st.integers(0, 6)))
+    fixed = np.union1d(np.concatenate([2 * nodes, 2 * nodes + 1]), dofs)
+    edges = draw(st.lists(st.sampled_from(EDGES), min_size=1, max_size=4,
+                          unique=True))
+    return mesh, design, fixed, edges, rng
+
+
+class TestCholesky:
+    """The multifrontal factor on the nested-dissection fronts."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(factor_problems())
+    def test_solves_agree_with_dense(self, problem):
+        mesh, design, fixed, edges, rng = problem
+        data = mesh_integrals(mesh)
+        dirichlet = np.concatenate([mesh.boundary_node_sets[edge]
+                                    for edge in edges])
+        systems = [
+            (data.stiffness_pattern.reduction(fixed),
+             assemble_stiffness(mesh, design, MATS), 1e-9),
+            (data.flow_pattern.reduction(dirichlet),
+             assemble_flow(mesh, design, FLOW)[0], 1e-10),
+        ]
+        for reduction, matrix, gate in systems:
+            m_ff = reduction.blocks(matrix)[0]
+            if not m_ff.shape[0]:
+                continue
+            b = rng.normal(size=m_ff.shape[0])
+            x = _element_data.Cholesky(reduction.tree, m_ff.data,
+                                       np.float64).solve(b)
+            dense = scipy.linalg.solve(m_ff.toarray(), b, assume_a="pos")
+            # the forward error of any stable solve grows with the condition
+            # number: on two supported nodes of a 20x17 mesh (cond 1.5e5)
+            # scipy's own LU and Cholesky solves differ by 1.4e-13
+            error = relative_error(x, dense)
+            assert error <= 1e-12 or (
+                error <= 1e-12 * np.linalg.cond(m_ff.toarray()) / 1e4)
+            lu = _element_data.MixedLU(m_ff, gate, reduction.tree)
+            refined = lu(b)
+            assert lu.fallbacks == 0
+            assert lu.residual <= gate
+            assert np.linalg.norm(b - m_ff @ refined) \
+                <= gate * np.linalg.norm(b)
+
+    def test_indefinite_stiffness_raises(self, monkeypatch):
+        mesh = generate_mesh(12, 9, 1.2, 0.9)
+        data = mesh_integrals(mesh)
+        modulus = np.full(mesh.n_elements, 1e8)
+        modulus[[20, 50, 51]] = -1e11
+        k = data.stiffness_pattern.assemble(
+            modulus[:, None, None] * data.stiffness(MATS.nu, MATS.thickness))
+        bottom = mesh.boundary_node_sets["bottom"]
+        fixed = np.concatenate([2 * bottom, 2 * bottom + 1])
+        spy = SpyFactor(monkeypatch)
+        with pytest.raises(SingularSystemError, match="singular"):
+            solve_displacements(k, np.ones(k.shape[0]), mesh, fixed)
+        assert spy.calls == [np.float32, np.float64]
+
+    def test_singular_flow_names_disconnected_nodes(self, monkeypatch):
+        mesh = generate_mesh(12, 9, 1.2, 0.9)
+        data = mesh_integrals(mesh)
+        column, row = np.divmod(np.arange(mesh.n_elements), mesh.ney)
+        region = (3 <= column) & (column < 7) & (2 <= row) & (row < 6)
+        coefficient = np.where(region, 0.0, 1.0)
+        a = data.flow_pattern.assemble(
+            coefficient[:, None, None] * (data.diffusion + data.mass))
+        # the nodes whose every element is in the region have empty rows
+        outside = np.zeros(mesh.n_nodes, dtype=bool)
+        outside[mesh.elements[~region]] = True
+        isolated = np.flatnonzero(~outside)
+        assert isolated.size
+        spy = SpyFactor(monkeypatch)
+        with pytest.raises(SolverError, match=re.escape(
+                f"disconnected nodes: {isolated.tolist()[:20]}")):
+            solve_pressure(a, data.load_matrix(MATS.thickness), mesh,
+                           {"top": 1e5, "bottom": 0.0})
+        assert spy.calls == [np.float32, np.float64]

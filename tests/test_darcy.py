@@ -21,6 +21,7 @@ from presstopo import (
     wachspress_gradients,
     wachspress_shape,
 )
+from presstopo import _element_data
 
 from conftest import make_uniform_design
 
@@ -259,15 +260,15 @@ class TestSolvePressure:
 
     def test_non_finite_field_raises(self, monkeypatch):
         class NaNFactor:
-            def __init__(self, lu):
-                self.perm_c, self.nnz = lu.perm_c, lu.nnz
+            def __init__(self, factor):
+                self.nnz = factor.nnz
 
             def solve(self, b):
                 return np.full(b.shape, np.nan, dtype=b.dtype)
 
-        real = spla.splu
-        monkeypatch.setattr(spla, "splu",
-                            lambda *args, **kw: NaNFactor(real(*args, **kw)))
+        real = _element_data.Cholesky
+        monkeypatch.setattr(_element_data, "Cholesky",
+                            lambda *args: NaNFactor(real(*args)))
         mesh = strip_mesh(n=10)
         with pytest.raises(SolverError, match="non-finite"):
             solve_strip(mesh, 0.5, FlowParams(d_solid=0.5))
