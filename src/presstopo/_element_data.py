@@ -16,31 +16,31 @@ fixed pattern.  The design-independent load transformation T is assembled
 once per thickness (``MeshIntegrals.load_matrix``).
 
 Both solves prescribe values on some indices: the inlet and outlet
-pressures, and the supports.  ``Pattern.reduction`` builds one ``Reduction``
-per array of fixed indices and keeps it.  It holds the sorted fixed and free
-indices and the index gathers that take M_ff and M_fd out of the ``data`` of
-any matrix on the pattern in canonical CSC form.  ``Reduction.solve`` is the
-one Dirichlet solve of the pressure and the displacements: it forms
-c = b_f - M_fd v, solves M_ff x_f = c and returns the full x with the
-``MixedLU`` of M_ff, which the flow adjoint reuses.
+pressures, and the supports.  ``Pattern.solve`` is the one Dirichlet solve
+of the pressure and the displacements, for any set of fixed indices: it
+forms c = b - M x_D with x_D the prescribed values, zero elsewhere, zeroes c
+on the fixed indices, and solves with the ``MixedCholesky`` of M with the
+fixed rows and columns made unit pivots, so that its free part is exactly
+M_ff x_f = c_f; the flow adjoint reuses that solver.
 
-The free indices are numbered in one fill-reducing order per mesh: a nested
-dissection of the honeycomb's element grid (George 1973, SIAM J. Numer.
-Anal. 10:345; ``nested_dissection``).  Boxes of element columns and rows are
-halved across their longer side, and the nodes shared across a cut are its
-separator, so the order needs no search.  It is built with the patterns, so
-the gathers return M_ff already permuted.  The same pass groups the nodes
-into the fronts of a multifrontal Cholesky factor (Duff & Reid 1983; Liu
-1992): each separator is one front, and so is each box of at most
-``2**_LEAF_BITS`` elements.  Each ``Reduction`` builds the symbolic part of
-that factor for its M_ff once (``EliminationTree``), and ``MixedLU``
-factors M_ff on it (``Cholesky``, from LAPACK's ``potrf``, ``trtri`` and
-BLAS ``trsm`` and ``syrk``): the float32 copy of M_ff, with solutions
-refined in float64 (Langou et al. 2006; Carson & Higham 2018), and one
-float64 factorization by the same code as the fallback when that
-factorization meets a pivot that is not positive or refinement misses the
-caller's residual gate.  ``MixedLU.residual`` is the ||c - M_ff x_f|| / ||c||
-of its last solve, which the displacement solve gates on.
+Every square pattern is factored in one fill-reducing order per mesh: a
+nested dissection of the honeycomb's element grid (George 1973, SIAM J.
+Numer. Anal. 10:345; ``nested_dissection``).  Boxes of element columns and
+rows are halved across their longer side, and the nodes shared across a cut
+are its separator, so the order needs no search.  The same pass groups the
+nodes into the fronts of a multifrontal Cholesky factor (Duff & Reid 1983;
+Liu 1992): each separator is one front, and so is each box of at most
+``2**_LEAF_BITS`` elements.  Each square pattern builds the symbolic part of
+that factor once, over all its unknowns (``Pattern.tree``, an
+``EliminationTree``), and ``MixedCholesky`` factors M on it (``Cholesky``,
+from LAPACK's ``potrf``, ``trtri`` and BLAS ``trsm`` and ``syrk``): in
+float32, with solutions refined in float64 (Langou et al. 2006; Carson &
+Higham 2018), and once in float64 by the same code as the fallback when
+that factorization meets a pivot that is not positive or refinement misses
+the caller's residual gate.  Only the tree knows the elimination order:
+vectors go in and out in the pattern's numbering.  ``MixedCholesky.residual``
+is the ||c_f - M_ff x_f|| / ||c_f|| of its last solve, which the
+displacement solve gates on.
 """
 
 from __future__ import annotations
@@ -148,10 +148,10 @@ class Pattern:
     position of each element's node pair.  ``block=(br, bc)`` expands it to
     ``br`` interleaved DOFs per row node and ``bc`` per column node (DOF
     ``br * node + d``), the layout of ``MeshIntegrals.udofs``.  A square
-    pattern that reductions are taken on gets ``node_order``, the rank of
-    each node in the order its blocks are factored in and the front that
-    eliminates it; DOF ``br * node + d`` takes ``rank``
-    ``br * node_rank[node] + d`` and its node's ``front``.
+    pattern that is solved on gets ``node_order``, the rank of each node in
+    the order its blocks are factored in and the front that eliminates it;
+    DOF ``br * node + d`` takes ``rank`` ``br * node_rank[node] + d`` and its
+    node's ``front``.
     """
 
     def __init__(self, node_ptr, node_cols, node_slot, block, node_order=None):
@@ -175,7 +175,6 @@ class Pattern:
             self.rank = (br * node_rank[:, None] + np.arange(br)).ravel()
             self.front = np.repeat(node_front, br)
         _read_only(self.indptr, self.indices, self.slot)
-        self._reductions = {}
 
     def assemble(self, values):
         """CSR matrix on this pattern from element blocks in element order."""
@@ -184,130 +183,101 @@ class Pattern:
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
 
-    def reduction(self, fixed) -> Reduction:
-        """The ``Reduction`` for the fixed indices ``fixed`` of a square
-        pattern, built on the first call for this array and kept."""
-        fixed = np.asarray(fixed, dtype=np.int64)
-        key = fixed.tobytes()
-        if key not in self._reductions:
-            self._reductions[key] = Reduction(self, fixed)
-        return self._reductions[key]
+    @cached_property
+    def tree(self) -> EliminationTree:
+        """The symbolic Cholesky factor of every matrix on this square
+        pattern, built on first use."""
+        return EliminationTree(self)
 
+    def solve(self, matrix, tol, fixed, b=None, values=None):
+        """Solve ``matrix`` x = ``b`` with x = ``values`` on the ``fixed``
+        indices (from ``check_fixed``); returns x and the ``MixedCholesky``
+        of ``matrix``, whose ``residual`` is ||c_f - M_ff x_f|| / ||c_f||
+        for c = b - M x_D, x_D the values on the fixed indices and zero
+        elsewhere.
 
-class Reduction:
-    """M x = b with x = v prescribed on the fixed indices, reduced to
-    M_ff x_f = b_f - M_fd v, for any matrix M on one square pattern.
-
-    ``fixed`` is sorted and ``order`` is the permutation that sorted it, so
-    the value passed with the i-th fixed index stays on that index; ``free``
-    is the sorted rest.  The reduced unknowns are the free indices in the
-    order ``rows``, ``free`` sorted by the pattern's fill-reducing ``rank``;
-    ``tree`` is the symbolic Cholesky factor of M_ff on the pattern's fronts.
-    """
-
-    def __init__(self, pattern, fixed):
-        n = pattern.shape[0]
-        self.order = np.argsort(fixed, kind="stable")
-        self.fixed = fixed[self.order]
-        if self.fixed.size and (self.fixed[0] < 0 or self.fixed[-1] >= n):
-            raise InvalidArgumentError(f"fixed index out of range [0, {n})")
-        if np.any(self.fixed[1:] == self.fixed[:-1]):
-            raise InvalidArgumentError("a fixed index is listed twice")
-        self.free = np.setdiff1d(np.arange(n), self.fixed, assume_unique=True)
-        self.rows = self.free[np.argsort(pattern.rank[self.free])]
-        self._indptr = pattern.indptr
-        # each entry of the pattern holds its slot + 1, so that no slot is
-        # a zero; tocsc is a counting sort by column that keeps the rows of
-        # a column sorted, and picking whole columns keeps them so
-        slots = sp.csr_matrix((np.arange(1, pattern.nnz + 1), pattern.indices,
-                               pattern.indptr), shape=pattern.shape)
-        slots = slots[self.rows].tocsc()
-        self._slots = tuple(slots[:, cols] for cols in (self.rows, self.fixed))
-        for s in self._slots:
-            s.data -= 1
-        self.tree = EliminationTree(self._slots[0], pattern.front[self.rows])
-        _read_only(self.order, self.fixed, self.free, self.rows,
-                   *(a for s in self._slots
-                     for a in (s.data, s.indices, s.indptr)))
-
-    def blocks(self, matrix):
-        """M_ff and M_fd of ``matrix`` in canonical CSC form, free rows and
-        columns in the order ``rows``; ``matrix`` must be assembled on this
-        pattern (scipy keeps the pattern's ``indptr``)."""
-        if matrix.indptr is not self._indptr:
-            raise InvalidArgumentError("matrix was not assembled on this mesh")
-        return tuple(sp.csc_matrix((matrix.data[s.data], s.indices, s.indptr),
-                                   shape=s.shape) for s in self._slots)
-
-    def solve(self, matrix, tol, b=None, values=None):
-        """Solve ``matrix`` x = ``b`` with x = ``values`` on the fixed
-        indices; returns the full x and the ``MixedLU`` of M_ff, whose
-        ``residual`` is ||c - M_ff x_f|| / ||c|| for c = b_f - M_fd v.
-
-        ``values`` are paired with the fixed indices in the order they were
-        passed; they and ``b`` default to zero.  ``tol`` is the refinement's
-        gate on the residual.  Raises ``RuntimeError`` when M_ff is not
-        positive definite in double precision either.
+        ``values[i]`` is prescribed on ``fixed[i]``; it and ``b`` default to
+        zero.  ``tol`` is the refinement's gate on the residual.  Raises
+        ``RuntimeError`` when M_ff is not positive definite in double
+        precision either.
         """
-        m_ff, m_fd = self.blocks(matrix)
-        if values is None:
-            v = np.zeros(self.fixed.size)
-        else:
-            v = np.asarray(values, dtype=float)
-            if v.shape != self.fixed.shape:
-                raise InvalidArgumentError(f"{v.size} fixed values for "
-                                           f"{self.fixed.size} fixed indices")
-            v = v[self.order]
-        c = -(m_fd @ v)
-        if b is not None:
-            c += b[self.rows]
-        lu = MixedLU(m_ff, tol, self.tree)
-        x = self.expand(lu(c))
-        x[self.fixed] = v
-        return x, lu
+        if matrix.indptr is not self.indptr:  # assembled here: shared indptr
+            raise InvalidArgumentError("matrix was not assembled on this mesh")
+        n = self.shape[0]
+        v = np.zeros(fixed.size) if values is None else np.asarray(
+            values, dtype=float)
+        if v.shape != fixed.shape:
+            raise InvalidArgumentError(f"{v.size} fixed values for "
+                                       f"{fixed.size} fixed indices")
+        c = (0.0 if b is None else b) - matrix @ np.bincount(
+            fixed, weights=v, minlength=n)
+        mask = np.zeros(n, dtype=bool)
+        mask[fixed] = True
+        factor = MixedCholesky(matrix, mask, tol, self.tree)
+        x = factor(c)
+        x[fixed] = v
+        return x, factor
 
-    def expand(self, x_free):
-        """Full vector: ``x_free`` (in the order ``rows``) on the free
-        indices, zero on the fixed ones."""
-        out = np.zeros(self.free.size + self.fixed.size)
-        out[self.rows] = x_free
-        return out
+
+def check_fixed(fixed, n):
+    """``fixed`` as int64 indices of ``n`` unknowns; raises
+    ``InvalidArgumentError`` when one is out of range or listed twice."""
+    fixed = np.asarray(fixed, dtype=np.int64)
+    if np.any((fixed < 0) | (fixed >= n)):
+        raise InvalidArgumentError(f"fixed index out of range [0, {n})")
+    if np.bincount(fixed, minlength=n).max() > 1:
+        raise InvalidArgumentError("a fixed index is listed twice")
+    return fixed
 
 
 class EliminationTree:
     """The symbolic part of the multifrontal Cholesky factor (Duff & Reid
     1983, ACM TOMS 9:302; Liu 1992, SIAM Review 34:82) of every matrix on
-    one symmetric CSC ``pattern``, built once per ``Reduction``.
+    one square symmetric ``pattern``, over all its unknowns, built once per
+    pattern.
 
-    ``front`` assigns each unknown to a front, in non-decreasing order, so
-    that each front eliminates one run of unknowns, its pivots, as one
-    dense block.  Its ``struct`` is the later unknowns its block column of L
-    reaches: the rows of its own columns below its pivots and the structs
-    of its children.  The parent of a front is the front of the first
-    unknown in its struct, which holds every unknown of that struct in its
-    own pivots or struct, so a child's update matrix (struct x struct) is
-    added into its parent's front by slices, one pair per pair of the
-    contiguous runs its struct takes in the parent.
+    The unknowns are eliminated in the order of ``pattern.rank``, and
+    ``pattern.front`` assigns each to a front, so that each front eliminates
+    one run of that order, its pivots, as one dense block.  Its ``struct``
+    is the later unknowns its block column of L reaches: the rows of its own
+    columns below its pivots and the structs of its children.  The parent of
+    a front is the front of the first unknown in its struct, which holds
+    every unknown of that struct in its own pivots or struct, so a child's
+    update matrix (struct x struct) is added into its parent's front by
+    slices, one pair per pair of the contiguous runs its struct takes in the
+    parent.
 
-    ``fronts`` holds, per front in elimination order: its numbers of pivots
-    and of struct unknowns; the slice of ``gather`` (the positions of the
-    lower triangle in the pattern's ``data``) that holds its own columns,
-    and where each entry goes in its dense pivot and L21 blocks; its
-    children with their slices (``_extend_add``); and its level and slot.
-    Fronts of one height in the tree (leaves 0) do not depend on each
-    other; ``levels`` lists, per height, their pivots and structs padded to
-    common sizes with the index ``n``, for the batched triangular solves.
+    ``gather`` holds the positions in the pattern's ``data`` of the lower
+    triangle in elimination order, column by column, and ``rows`` and
+    ``cols`` the unknowns of each.  ``fronts`` holds, per front in
+    elimination order: its numbers of pivots and of struct unknowns; the
+    slice of ``gather`` that holds its own columns, and where each entry
+    goes in its dense pivot and L21 blocks; its children with their slices
+    (``_extend_add``); and its level and slot.  Fronts of one height in the
+    tree (leaves 0) do not depend on each other; ``levels`` lists, per
+    height, their pivots and structs padded to common sizes with the index
+    ``n``, for the batched triangular solves, in the pattern's numbering.
     """
 
-    def __init__(self, pattern, front):
-        n = self.n = front.size
+    def __init__(self, pattern):
+        n = self.n = pattern.shape[0]
+        perm = np.argsort(pattern.rank)
+        front = pattern.front[perm]
+        # each entry holds its slot + 1, so that no slot is a zero, in the
+        # column of its rank; taking the rows in elimination order and tocsc,
+        # a counting sort by column, give each column's rows sorted
+        csc = sp.csr_matrix((np.arange(1, pattern.nnz + 1),
+                             pattern.rank[pattern.indices], pattern.indptr),
+                            shape=pattern.shape)[perm].tocsc()
         bounds = np.r_[np.flatnonzero(np.diff(front, prepend=-1)), n]
         n_fronts = bounds.size - 1
         owner = np.repeat(np.arange(n_fronts), np.diff(bounds))
         # the lower triangle, in CSC order and so grouped by front
-        col = np.repeat(np.arange(n), np.diff(pattern.indptr))
-        self.gather = np.flatnonzero(pattern.indices >= col)
-        row, col = pattern.indices[self.gather], col[self.gather]
+        col = np.repeat(np.arange(n), np.diff(csc.indptr))
+        lower = np.flatnonzero(csc.indices >= col)
+        row, col = csc.indices[lower], col[lower]
+        self.gather = csc.data[lower] - 1
+        self.rows, self.cols = perm[row], perm[col]
         f = owner[col]
         entry_ptr = np.searchsorted(f, np.arange(n_fronts + 1))
         past = row >= bounds[f + 1]
@@ -347,10 +317,11 @@ class EliminationTree:
             piv = np.full((len(level), p_max), n)
             upd = np.full((len(level), u_max), n)
             for i, s in enumerate(level):
-                piv[i, :fronts[s][0]] = np.arange(bounds[s], bounds[s + 1])
-                upd[i, :fronts[s][1]] = structs[s]
+                piv[i, :fronts[s][0]] = perm[bounds[s]:bounds[s + 1]]
+                upd[i, :fronts[s][1]] = perm[structs[s]]
             self.levels.append((piv, upd))
-        _read_only(self.gather, *(a for level in self.levels for a in level),
+        _read_only(self.gather, self.rows, self.cols,
+                   *(a for level in self.levels for a in level),
                    *(front[3] for front in fronts))
 
 
@@ -372,7 +343,8 @@ def _extend_add(pos, p):
 
 class Cholesky:
     """Multifrontal Cholesky factor L L^T, in ``dtype``, of the matrix with
-    ``data`` on the pattern of ``tree``.
+    ``data`` on the pattern of ``tree``, with the rows and columns of the
+    unknowns where the boolean ``fixed`` is set made unit pivots.
 
     Each front, in order, gathers its entries of the lower triangle, adds
     its children's update matrices, and calls ``potrf`` on its pivot block,
@@ -385,7 +357,7 @@ class Cholesky:
     pivot block is not positive definite.
     """
 
-    def __init__(self, tree, data, dtype):
+    def __init__(self, tree, data, fixed, dtype):
         potrf, trtri = get_lapack_funcs(("potrf", "trtri"), dtype=dtype)
         trsm, syrk = get_blas_funcs(("trsm", "syrk"), dtype=dtype)
         self.n = tree.n
@@ -399,6 +371,8 @@ class Cholesky:
                        for piv, upd in tree.levels]
         self.nnz = sum(inv.size + l21.size for _, _, inv, l21 in self.levels)
         values = data[tree.gather].astype(dtype)
+        cut = fixed[tree.rows] | fixed[tree.cols]
+        values[cut] = tree.rows[cut] == tree.cols[cut]
         updates = {}
         for s, (p, u, entries, dst, adds, level, i) in enumerate(tree.fronts):
             buf = np.zeros(p * (p + u), dtype)
@@ -424,7 +398,8 @@ class Cholesky:
             inv_t[i, :p, :p] = trtri(l11, lower=1, overwrite_c=1)[0].T
 
     def solve(self, b):
-        """x with L L^T x = b; ``b`` in the factor's dtype."""
+        """x with L L^T x = b; ``b`` in the factor's dtype and, like x, in
+        the pattern's numbering."""
         x = np.zeros(self.n + 1, dtype=b.dtype)  # x[n] is the padding
         x[:-1] = b
         for piv, upd, inv_t, l21_t in self.levels:
@@ -438,68 +413,81 @@ class Cholesky:
         return x[:-1]
 
 
-class MixedLU:
-    """Solves M x = b for a float64 symmetric positive definite CSC matrix
-    M, in its own order, with a single-precision Cholesky factor refined in
-    double precision, after Langou et al. 2006 and Carson & Higham 2018
-    (SIAM J. Sci. Comput. 40:A817).
+class MixedCholesky:
+    """Solves M_ff x_f = b_f for the free block of a float64 symmetric CSR
+    matrix M, whose free block is positive definite, with a single-precision
+    Cholesky factor refined in double precision, after Langou et al. 2006
+    and Carson & Higham 2018 (SIAM J. Sci. Comput. 40:A817).
 
-    ``Cholesky`` factors the float32 copy of M on the fronts of ``tree``.
-    Refinement repeats x += (LL^T)32^-1 r, r = b - M x in float64 until
-    ||r|| / ||b|| no longer halves, at most ``_MAX_STEPS`` times.  When the
-    float32 factorization fails (a pivot that is not positive), or a
-    refined result misses ``tol`` (or is not finite), M is factored once in
-    float64 by the same code and that factor solves from then on;
+    The boolean ``fixed`` marks the prescribed unknowns.  Vectors are full
+    and in M's numbering: b is read on the free unknowns only, and x is zero
+    on the fixed ones.  ``Cholesky`` factors M in float32 on ``tree``, with
+    the fixed unknowns as unit pivots.  Refinement repeats
+    x += (LL^T)32^-1 r, r = b - M x zeroed on the fixed unknowns, in float64
+    until ||r|| / ||b_f|| no longer halves, at most ``_MAX_STEPS`` times.
+    When the float32 factorization fails (a pivot that is not positive), or
+    a refined result misses ``tol`` (or is not finite), M is factored once
+    in float64 by the same code and that factor solves from then on;
     ``fallbacks`` counts it, and a float64 failure raises ``RuntimeError``.
     ``steps`` holds the refinement steps of the last solve, ``residual`` its
-    ||b - M x|| / ||b||, and ``nnz`` the stored entries of the factor in use.
+    ||b_f - M_ff x_f|| / ||b_f||, and ``nnz`` the stored entries of the
+    factor in use.
     """
 
-    def __init__(self, matrix, tol, tree):
-        self.matrix, self.tol, self._tree = matrix, tol, tree
-        self._lu64 = None
+    def __init__(self, matrix, fixed, tol, tree):
+        self.matrix, self.fixed, self.tol = matrix, fixed, tol
+        self._tree = tree
+        self._chol64 = None
         self.steps = self.fallbacks = 0
         try:
-            self._lu32 = Cholesky(tree, matrix.data, np.float32)
+            self._chol32 = Cholesky(tree, matrix.data, fixed, np.float32)
         except np.linalg.LinAlgError:  # not positive definite in float32
             self._factor64()
 
     @property
     def nnz(self):
-        return (self._lu32 if self._lu64 is None else self._lu64).nnz
+        return (self._chol32 if self._chol64 is None else self._chol64).nnz
 
     def _factor64(self):
         self.fallbacks += 1
         try:
-            self._lu64 = Cholesky(self._tree, self.matrix.data, np.float64)
+            self._chol64 = Cholesky(self._tree, self.matrix.data, self.fixed,
+                                    np.float64)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"matrix is not positive definite: {exc}") \
                 from exc
 
+    def _residual(self, b, x):
+        """b - M x on the free unknowns, zero on the fixed ones."""
+        r = b - self.matrix @ x
+        r[self.fixed] = 0.0
+        return r
+
     def __call__(self, b):
-        if self._lu64 is None:
+        b = np.where(self.fixed, 0.0, b)
+        if self._chol64 is None:
             x, self.residual = self._refine(b)
             if self.residual <= self.tol:
                 return x
             self._factor64()
-        x = self._lu64.solve(b)
-        self.residual = (np.linalg.norm(b - self.matrix @ x)
+        x = self._chol64.solve(b)
+        self.residual = (np.linalg.norm(self._residual(b, x))
                          / (np.linalg.norm(b) or 1.0))
         return x
 
     def _refine(self, b):
-        """Refined solution of M x = b and its ||b - M x|| / ||b||."""
+        """Refined solution of M_ff x_f = b_f and its relative residual."""
         self.steps = 0
         b_norm = np.linalg.norm(b)
         if b_norm == 0.0:
             return np.zeros_like(b), 0.0
-        x = self._lu32.solve(b.astype(np.float32)).astype(np.float64)
-        r = b - self.matrix @ x
+        x = self._chol32.solve(b.astype(np.float32)).astype(np.float64)
+        r = self._residual(b, x)
         rel = np.linalg.norm(r) / b_norm
         while self.steps < _MAX_STEPS:
             self.steps += 1
-            x_new = x + self._lu32.solve(r.astype(np.float32))
-            r_new = b - self.matrix @ x_new
+            x_new = x + self._chol32.solve(r.astype(np.float32))
+            r_new = self._residual(b, x_new)
             rel_new = np.linalg.norm(r_new) / b_norm
             if not rel_new < rel:  # no progress, or not finite
                 break

@@ -12,11 +12,11 @@ flow matrix A and the design-independent transformation matrix T
 ``np.bincount`` of the scaled element templates into the mesh's fixed flow
 pattern; T is built once per mesh and thickness and then reused.
 ``solve_pressure(A, T, mesh, pressure_bc)`` maps the named edges to their
-nodes and solves A p = 0 by ``Reduction.solve`` of the flow pattern's
-reduction for those nodes (built once per set of edges): a float32 factor
-of A_ff refined in float64.  It returns a frozen ``PressureState`` holding
-A, T, p, the reduction and the refined solve, which the flow adjoint
-reuses; ``pressure_loads(T, p)`` gives the consistent nodal loads F = -T p.
+nodes and solves A p = 0 by ``Pattern.solve`` of the flow pattern: a float32
+factor of A, with the Dirichlet nodes as unit pivots, refined in float64 on
+the free nodes.  It returns a frozen ``PressureState`` holding A, T, p and
+that refined solve, which the flow adjoint reuses; ``pressure_loads(T, p)``
+gives the consistent nodal loads F = -T p.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._element_data import Reduction, mesh_integrals
+from ._element_data import mesh_integrals
 from .errors import IllPosedError, InvalidArgumentError, SolverError
 
 _RESIDUAL_TOL = 1e-10
@@ -132,22 +132,21 @@ def penetration_drainage(params: FlowParams, element_height,
 @dataclass(frozen=True)
 class PressureState:
     """Flow matrix A, transformation T and the field p from ``solve_pressure``;
-    ``lu_solve`` is the refined solve with the factor of A_ff
-    (``_element_data.MixedLU``), reused by the adjoint.
+    ``factor`` is the refined solve of A on the free nodes
+    (``_element_data.MixedCholesky``), reused by the adjoint.
     """
 
     A: sp.csr_matrix
     T: sp.csr_matrix
     p: np.ndarray
-    reduction: Reduction
-    lu_solve: object = field(repr=False)
+    factor: object = field(repr=False)
 
     def adjoint_solve(self, rhs):
         """Solve A lam = rhs on the free nodes, zero on Dirichlet nodes.
 
         Reuses the factorization of the state solve (A is symmetric).
         """
-        return self.reduction.expand(self.lu_solve(rhs[self.reduction.rows]))
+        return self.factor(rhs)
 
 
 def assemble_flow(mesh, design, params: FlowParams):
@@ -184,30 +183,31 @@ def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
         raise IllPosedError("no Dirichlet pressure nodes; pressure field is "
                             "determined only up to a constant")
     # the four boundary node sets of a honeycomb are pairwise disjoint
-    reduction = mesh_integrals(mesh).flow_pattern.reduction(
-        np.concatenate(node_sets))
+    fixed = np.concatenate(node_sets)
     values = np.repeat(np.array(list(pressure_bc.values()), dtype=float),
                        [nodes.size for nodes in node_sets])
     try:
-        p, lu = reduction.solve(A, _RESIDUAL_TOL, values=values)
+        p, factor = mesh_integrals(mesh).flow_pattern.solve(
+            A, _RESIDUAL_TOL, fixed, values=values)
     except RuntimeError as exc:
-        a_ff = reduction.blocks(A)[0]
-        zero = np.asarray(abs(a_ff).sum(axis=1)).ravel() == 0.0
+        free = np.ones(A.shape[0], dtype=bool)
+        free[fixed] = False
+        zero = free & (abs(A) @ free == 0.0)
         raise SolverError(
             f"flow matrix is singular after applying boundary conditions; "
-            f"disconnected nodes: {np.sort(reduction.rows[zero]).tolist()[:20]}"
+            f"disconnected nodes: {np.flatnonzero(zero).tolist()[:20]}"
         ) from exc
     if not np.all(np.isfinite(p)):
         raise SolverError("pressure solve produced non-finite values")
 
-    residual = np.linalg.norm((A @ p)[reduction.free])
+    residual = np.linalg.norm((A @ p)[~factor.fixed])
     denom = spla.norm(A) * np.linalg.norm(p)
     if denom > 0 and residual / denom > _RESIDUAL_TOL:
         raise SolverError(
             f"pressure solve residual {residual / denom:.3e} exceeds "
             f"{_RESIDUAL_TOL:.1e}"
         )
-    return PressureState(A=A, T=T, p=p, reduction=reduction, lu_solve=lu)
+    return PressureState(A=A, T=T, p=p, factor=factor)
 
 
 def pressure_loads(T, p):

@@ -121,7 +121,7 @@ def read_design_csv(path, n_elements, n_variables):
     """Load raw design variables from a previously written design.csv."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a bad cell or row
         raise ConfigError(f"cannot read initial design {path}: {exc}") from exc
     if data.ndim == 1:
         data = data[None, :]
@@ -214,7 +214,7 @@ def run_optimization(config, progress=None):
         if progress is not None:
             progress(it, record)
         raw = x_new.reshape((nel, m), order="F")
-        # free this state (K, A and the LU of A_ff) before the next analysis
+        # free this state (K, A and the factor of A) before the next analysis
         del estate
         if config.step_tolerance > 0 and max_dx < config.step_tolerance:
             break

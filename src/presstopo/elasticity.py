@@ -4,10 +4,10 @@
 element template by each element's interpolated modulus and sums the
 entries into the mesh's fixed stiffness pattern with one ``np.bincount``.
 ``solve_displacements(K, F, mesh, fixed_dofs)`` solves K u = F by
-``Reduction.solve`` of the stiffness pattern's reduction for the supports
-(built once per set of supports): a float32 factor of K_ff refined in
-float64, gated on its residual.  Supports that leave a rigid-body mode free
-are rejected before anything is factored.
+``Pattern.solve`` of the stiffness pattern: a float32 factor of K, with the
+supports as unit pivots, refined in float64 on the free DOFs and gated on
+its residual.  Supports that leave a rigid-body mode free are rejected
+before anything is factored.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._element_data import element_quadrature, mesh_integrals, stiffness_kernel
+from ._element_data import (check_fixed, element_quadrature, mesh_integrals,
+                            stiffness_kernel)
 from .darcy import PressureState
 from .errors import InvalidArgumentError, SingularSystemError, SolverError
 from .fields import DesignField, interpolate_modulus
@@ -73,9 +74,9 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
     defaults to homogeneous supports; a DOF listed twice is rejected, and so
     is a non-finite load or prescribed value.  Supports that leave a
     rigid-body mode free raise ``SingularSystemError`` naming the mode.  The
-    reduced system K_ff u_f = F_f - K_fd v is solved by ``Reduction.solve``;
-    its ``MixedLU.residual``, ||K_ff u_f - (F_f - K_fd v)|| / ||F_f - K_fd v||,
-    must be at most 1e-9.
+    reduced system K_ff u_f = F_f - K_fd v is solved by ``Pattern.solve``;
+    its ``MixedCholesky.residual``,
+    ||K_ff u_f - (F_f - K_fd v)|| / ||F_f - K_fd v||, must be at most 1e-9.
     """
     F = np.asarray(F, dtype=float)
     if not np.all(np.isfinite(F)) or (
@@ -83,20 +84,21 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
             and not np.all(np.isfinite(np.asarray(fixed_values, dtype=float)))):
         raise InvalidArgumentError("load and prescribed displacements must "
                                    "be finite")
-    reduction = mesh_integrals(mesh).stiffness_pattern.reduction(fixed_dofs)
-    free_modes = _free_rigid_modes(mesh, reduction.fixed)
+    pattern = mesh_integrals(mesh).stiffness_pattern
+    fixed = check_fixed(fixed_dofs, pattern.shape[0])
+    free_modes = _free_rigid_modes(mesh, fixed)
     if free_modes:
         raise SingularSystemError(
             f"supports leave a rigid-body mode free: {', '.join(free_modes)}")
     try:
-        u, lu = reduction.solve(K, _RESIDUAL_TOL, F, fixed_values)
+        u, factor = pattern.solve(K, _RESIDUAL_TOL, fixed, F, fixed_values)
     except RuntimeError as exc:
         raise SingularSystemError("stiffness matrix is singular") from exc
     if not np.all(np.isfinite(u)):
         raise SingularSystemError("stiffness solve produced non-finite values")
-    if lu.residual > _RESIDUAL_TOL:
+    if factor.residual > _RESIDUAL_TOL:
         raise SolverError(
-            f"displacement solve residual {lu.residual:.3e} exceeds "
+            f"displacement solve residual {factor.residual:.3e} exceeds "
             f"{_RESIDUAL_TOL:.1e}"
         )
     compliance = float(u @ F)

@@ -1,8 +1,9 @@
 """Scatter assembly into the fixed per-mesh patterns, and the Dirichlet
-reductions.
+solves on each pattern's one elimination tree.
 
 The oracle assembles every element matrix into a dense array one element at
-a time; the reductions' free blocks are compared with dense slicing.
+a time; the trees' gathers and the solves' free blocks are compared with
+dense slicing.
 """
 
 import re
@@ -45,13 +46,6 @@ def dense_oracle(shape, row_dofs, col_dofs, blocks):
     for rows, cols, block in zip(row_dofs, col_dofs, blocks):
         out[np.ix_(rows, cols)] += block
     return out
-
-
-def assert_canonical_csc(block):
-    assert block.format == "csc"
-    for j in range(block.shape[1]):
-        rows = block.indices[block.indptr[j]:block.indptr[j + 1]]
-        assert np.all(np.diff(rows) > 0)  # sorted, no duplicates
 
 
 @st.composite
@@ -138,25 +132,22 @@ class TestScatterAssembly:
             assert np.abs(got.toarray() - want).max() \
                 <= 1e-13 * np.abs(want).max()
 
-        free = np.setdiff1d(np.arange(k.shape[0]), fixed)
-        dirichlet = np.unique(np.concatenate(
-            [mesh.boundary_node_sets[edge] for edge in edges]))
-        free_nodes = np.setdiff1d(np.arange(a.shape[0]), dirichlet)
-        reductions = [
-            (data.stiffness_pattern, k, free, fixed),
-            (data.flow_pattern, a, free_nodes, dirichlet),
-        ]
-        # the gathers return M_ff and M_fd with the free indices in the
-        # pattern's fill-reducing order
-        for pattern, matrix, free, fixed in reductions:
-            reduction = pattern.reduction(fixed)
-            assert np.array_equal(reduction.free, free)
-            rows = free[np.argsort(pattern.rank[free])]
-            assert np.array_equal(reduction.rows, rows)
-            dense = matrix.toarray()[rows]
-            for block, cols in zip(reduction.blocks(matrix), (rows, fixed)):
-                assert_canonical_csc(block)
-                assert np.array_equal(block.toarray(), dense[:, cols])
+        # each tree gathers the lower triangle in the pattern's
+        # fill-reducing order from the matrix's own data, each entry once,
+        # column by column with sorted rows
+        for pattern, matrix in ((data.stiffness_pattern, k),
+                                (data.flow_pattern, a)):
+            tree, n = pattern.tree, pattern.shape[0]
+            assert tree.gather.size == (pattern.nnz + n) // 2
+            assert np.array_equal(pattern.indices[tree.gather], tree.cols)
+            assert np.array_equal(
+                np.searchsorted(pattern.indptr, tree.gather, "right") - 1,
+                tree.rows)
+            row, col = pattern.rank[tree.rows], pattern.rank[tree.cols]
+            assert np.all(row >= col)
+            assert np.all(np.diff(col * n + row) > 0)
+            assert np.array_equal(matrix.data[tree.gather],
+                                  matrix.toarray()[tree.rows, tree.cols])
 
         # the values travel with their DOFs, in whatever order they come;
         # the bottom edge removes the rigid modes
@@ -246,34 +237,38 @@ class TestPatternsBuiltOnce:
         assert np.allclose(t3.toarray(), 2.0 * t1.toarray(), rtol=1e-15,
                            atol=0.0)
 
-    def test_gathers_built_once_per_boundary_set(self, monkeypatch):
+    def test_tree_built_once_per_pattern(self, monkeypatch):
         built = []
+        tree = _element_data.EliminationTree
 
-        class Counted(_element_data.Reduction):
-            def __init__(self, pattern, fixed):
-                built.append(pattern)
-                super().__init__(pattern, fixed)
+        def counted(pattern):
+            built.append(pattern)
+            return tree(pattern)
 
-        monkeypatch.setattr(_element_data, "Reduction", Counted)
+        monkeypatch.setattr(_element_data, "EliminationTree", counted)
         mesh = generate_mesh(4, 3, 0.4, 0.3)
+        data = mesh_integrals(mesh)
         design = make_uniform_design(mesh, [0.6, 0.5])
-        bc = {"top": 1e5, "bottom": 0.0}
-        s1 = solve_pressure(*assemble_flow(mesh, design, FLOW), mesh, bc)
-        s2 = solve_pressure(*assemble_flow(mesh, design, FLOW), mesh,
-                            {"top": 2e5, "bottom": 0.0})
-        assert s1.reduction is s2.reduction
-        assert s1.reduction.free is s2.reduction.free
-        assert built == [mesh_integrals(mesh).flow_pattern]
+        a, t = assemble_flow(mesh, design, FLOW)
+        s1 = solve_pressure(a, t, mesh, {"top": 1e5, "bottom": 0.0})
+        s2 = solve_pressure(a, t, mesh, {"top": 2e5, "bottom": 0.0})
+        s3 = solve_pressure(a, t, mesh, {"left": 1e5, "right": 0.0})
         assert np.allclose(s2.p, 2.0 * s1.p, rtol=1e-12, atol=0.0)
+        for state, edges in ((s1, ("top", "bottom")), (s3, ("left", "right"))):
+            dirichlet = np.concatenate([mesh.boundary_node_sets[edge]
+                                        for edge in edges])
+            assert np.array_equal(np.flatnonzero(state.factor.fixed),
+                                  np.sort(dirichlet))
+        assert built == [data.flow_pattern]
 
-        bottom = mesh.boundary_node_sets["bottom"]
-        fixed = np.sort(np.concatenate([2 * bottom, 2 * bottom + 1]))
         k = assemble_stiffness(mesh, design, MATS)
         f = np.zeros(k.shape[0])
         f[2 * mesh.boundary_node_sets["top"] + 1] = -1.0
-        for _ in range(2):
-            solve_displacements(k, f, mesh, fixed)
-        assert built[1:] == [mesh_integrals(mesh).stiffness_pattern]
+        for edge in ("bottom", "left"):
+            nodes = mesh.boundary_node_sets[edge]
+            solve_displacements(k, f, mesh,
+                                np.concatenate([2 * nodes, 2 * nodes + 1]))
+        assert built == [data.flow_pattern, data.stiffness_pattern]
 
     def test_matrix_of_another_mesh_rejected(self):
         mesh = generate_mesh(4, 3, 0.4, 0.3)
@@ -286,10 +281,9 @@ class TestPatternsBuiltOnce:
         a, t = assemble_flow(other, design, FLOW)
         with pytest.raises(InvalidArgumentError):
             solve_pressure(a, t, mesh, {"top": 1e5})
-        reduction = mesh_integrals(mesh).stiffness_pattern.reduction(
-            np.arange(6))
         with pytest.raises(InvalidArgumentError):
-            reduction.blocks(k)
+            mesh_integrals(mesh).stiffness_pattern.solve(k, 1e-9,
+                                                         np.arange(6))
 
 
 class SpyFactor:
@@ -303,9 +297,9 @@ class SpyFactor:
         self.nan32, self.scale64 = nan32, scale64
         monkeypatch.setattr(_element_data, "Cholesky", self)
 
-    def __call__(self, tree, data, dtype):
+    def __call__(self, tree, data, fixed, dtype):
         self.calls.append(dtype)
-        factor = self._real(tree, data, dtype)
+        factor = self._real(tree, data, fixed, dtype)
         if dtype == np.float32:
             return NaNFactor(factor) if self.nan32 else factor
         return factor if self.scale64 is None else ScaledFactor(factor,
@@ -380,7 +374,7 @@ class TestRefinedSolve:
             solve_displacements(k, rng.normal(size=k.shape[0]), mesh, fixed)
         assert spy.calls == [np.float32] * (2 * n)
         assert len(built) == 1
-        assert len(trees) == 2  # one per reduction
+        assert len(trees) == 2  # one per pattern
 
     def test_fill_at_most_minimum_degree(self):
         # the desk arch (arch-2mat on 61x30) and the desk piston
@@ -394,13 +388,15 @@ class TestRefinedSolve:
             dirichlet = np.concatenate([mesh.boundary_node_sets[edge]
                                         for edge in cfg.pressure_bc])
             systems = [
-                (data.stiffness_pattern.reduction(fixed),
+                (data.stiffness_pattern, fixed,
                  assemble_stiffness(mesh, design, mats)),
-                (data.flow_pattern.reduction(dirichlet),
+                (data.flow_pattern, dirichlet,
                  assemble_flow(mesh, design, flow)[0]),
             ]
-            for reduction, matrix in systems:
-                m_ff = reduction.blocks(matrix)[0].astype(np.float32)
+            for pattern, fixed, matrix in systems:
+                free = np.setdiff1d(np.arange(matrix.shape[0]), fixed)
+                rows = free[np.argsort(pattern.rank[free])]
+                m_ff = matrix[rows][:, rows].tocsc().astype(np.float32)
                 nested = spla.splu(m_ff, permc_spec="NATURAL").nnz
                 assert nested <= spla.splu(m_ff,
                                            permc_spec="MMD_AT_PLUS_A").nnz
@@ -418,8 +414,8 @@ class TestRefinedSolve:
 
             a, t = assemble_flow(mesh, design, FLOW)
             state = solve_pressure(a, t, mesh, {"top": 1e5, "bottom": 0.0})
-            nodes = state.reduction.free
-            dirichlet = state.reduction.fixed
+            nodes = np.flatnonzero(~state.factor.fixed)
+            dirichlet = np.flatnonzero(state.factor.fixed)
             rhs = -(a[nodes][:, dirichlet] @ state.p[dirichlet])
             assert relative_error(state.p[nodes],
                                   float64_solve(a, nodes, rhs)) <= 1e-12
@@ -432,22 +428,25 @@ class TestRefinedSolve:
     def test_stall_engages_float64_fallback(self, monkeypatch):
         mesh, design, fixed, rng = self._problem(2)
         k = assemble_stiffness(mesh, design, MATS)
-        reduction = mesh_integrals(mesh).stiffness_pattern.reduction(fixed)
+        pattern = mesh_integrals(mesh).stiffness_pattern
         f = rng.normal(size=k.shape[0])
-        x, lu = reduction.solve(k, 1e-9, f)
-        assert lu.fallbacks == 0
+        x, factor = pattern.solve(k, 1e-9, fixed, f)
+        assert factor.fallbacks == 0
         # the first float32 solution misses the gate; with no refinement
         # step allowed, the solve falls back to one float64 factor
-        m_ff, rhs = lu.matrix, f[reduction.rows]
-        x32 = _element_data.Cholesky(reduction.tree, m_ff.data,
-                                     np.float32).solve(rhs.astype(np.float32))
-        assert np.linalg.norm(rhs - m_ff @ x32) > 1e-9 * np.linalg.norm(rhs)
+        free = ~factor.fixed
+        m_ff, rhs = k[free][:, free], f[free]
+        x32 = _element_data.Cholesky(pattern.tree, k.data, factor.fixed,
+                                     np.float32).solve(
+            np.where(free, f, 0.0).astype(np.float32))
+        assert np.linalg.norm(rhs - m_ff @ x32[free]) \
+            > 1e-9 * np.linalg.norm(rhs)
         monkeypatch.setattr(_element_data, "_MAX_STEPS", 0)
         spy = SpyFactor(monkeypatch)
-        y, stalled = reduction.solve(k, 1e-9, f)
+        y, stalled = pattern.solve(k, 1e-9, fixed, f)
         assert stalled.fallbacks == 1
         assert spy.calls == [np.float32, np.float64]
-        residual = np.linalg.norm(rhs - m_ff @ y[reduction.rows])
+        residual = np.linalg.norm(rhs - m_ff @ y[free])
         assert residual <= 1e-9 * np.linalg.norm(rhs)
         assert stalled.residual <= 1e-9
         assert stalled.residual == pytest.approx(
@@ -481,7 +480,7 @@ class TestRefinedSolve:
         del spy.calls[:]
         state = solve_pressure(*assemble_flow(mesh, design, FLOW), mesh,
                                {"top": 1e5, "bottom": 0.0})
-        assert state.lu_solve.fallbacks == 1
+        assert state.factor.fallbacks == 1
         assert np.all(np.isfinite(state.p))
         assert np.all(np.isfinite(state.adjoint_solve(f[:mesh.n_nodes])))
         # the adjoint reuses the float64 factor
@@ -490,18 +489,23 @@ class TestRefinedSolve:
     def test_nnz_counts_the_factor_in_use(self, monkeypatch):
         mesh, design, fixed, rng = self._problem(2)
         k = assemble_stiffness(mesh, design, MATS)
-        reduction = mesh_integrals(mesh).stiffness_pattern.reduction(fixed)
+        pattern = mesh_integrals(mesh).stiffness_pattern
         f = rng.normal(size=k.shape[0])
-        _, lu = reduction.solve(k, 1e-9, f)
-        factor = _element_data.Cholesky(reduction.tree, lu.matrix.data,
+        _, solver = pattern.solve(k, 1e-9, fixed, f)
+        factor = _element_data.Cholesky(pattern.tree, k.data, solver.fixed,
                                         np.float32)
-        assert lu.nnz == factor.nnz == sum(
+        assert solver.nnz == factor.nnz == sum(
             inv.size + l21.size for _, _, inv, l21 in factor.levels)
-        # every nonzero of L is stored
-        dense = np.linalg.cholesky(lu.matrix.toarray())
-        assert lu.nnz >= np.count_nonzero(dense)
+        # every nonzero of L is stored: the factored matrix is K with its
+        # supports as unit pivots, in the elimination order
+        unit = k.toarray()
+        unit[solver.fixed] = unit[:, solver.fixed] = 0.0
+        unit[solver.fixed, solver.fixed] = 1.0
+        order = np.argsort(pattern.rank)
+        dense = np.linalg.cholesky(unit[np.ix_(order, order)])
+        assert solver.nnz >= np.count_nonzero(dense)
         monkeypatch.setattr(_element_data, "_MAX_STEPS", 0)
-        _, stalled = reduction.solve(k, 1e-9, f)
+        _, stalled = pattern.solve(k, 1e-9, fixed, f)
         assert stalled.fallbacks == 1
         assert stalled.nnz == factor.nnz
 
@@ -518,11 +522,13 @@ def factor_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     design = make_uniform_design(mesh, [0.5, 0.5])
     design.filtered = rng.uniform(0.3, 1.0, design.filtered.shape)
-    # two whole nodes hold every rigid-body mode; single DOFs join them
+    # two whole nodes hold every rigid-body mode; single DOFs join them;
+    # the fixed indices come unsorted
     nodes = rng.choice(mesh.n_nodes, replace=False,
                        size=draw(st.integers(2, mesh.n_nodes - 1)))
     dofs = rng.choice(2 * mesh.n_nodes, size=draw(st.integers(0, 6)))
-    fixed = np.union1d(np.concatenate([2 * nodes, 2 * nodes + 1]), dofs)
+    fixed = rng.permutation(np.union1d(
+        np.concatenate([2 * nodes, 2 * nodes + 1]), dofs))
     edges = draw(st.lists(st.sampled_from(EDGES), min_size=1, max_size=4,
                           unique=True))
     return mesh, design, fixed, edges, rng
@@ -536,34 +542,51 @@ class TestCholesky:
     def test_solves_agree_with_dense(self, problem):
         mesh, design, fixed, edges, rng = problem
         data = mesh_integrals(mesh)
-        dirichlet = np.concatenate([mesh.boundary_node_sets[edge]
-                                    for edge in edges])
+        dirichlet = rng.permutation(np.concatenate(
+            [mesh.boundary_node_sets[edge] for edge in edges]))
         systems = [
-            (data.stiffness_pattern.reduction(fixed),
+            (data.stiffness_pattern, fixed,
              assemble_stiffness(mesh, design, MATS), 1e-9),
-            (data.flow_pattern.reduction(dirichlet),
+            (data.flow_pattern, dirichlet,
              assemble_flow(mesh, design, FLOW)[0], 1e-10),
         ]
-        for reduction, matrix, gate in systems:
-            m_ff = reduction.blocks(matrix)[0]
-            if not m_ff.shape[0]:
+        for pattern, fixed, matrix, gate in systems:
+            mask = np.zeros(matrix.shape[0], dtype=bool)
+            mask[fixed] = True
+            free = np.flatnonzero(~mask)
+            if not free.size:
                 continue
-            b = rng.normal(size=m_ff.shape[0])
-            x = _element_data.Cholesky(reduction.tree, m_ff.data,
-                                       np.float64).solve(b)
-            dense = scipy.linalg.solve(m_ff.toarray(), b, assume_a="pos")
+            dense = matrix.toarray()
+            m_ff = dense[np.ix_(free, free)]
+            bound = max(1e-12, 1e-12 * np.linalg.cond(m_ff) / 1e4)
+            b = rng.normal(size=matrix.shape[0])
+            x = _element_data.Cholesky(pattern.tree, matrix.data, mask,
+                                       np.float64).solve(np.where(mask, 0, b))
+            assert np.all(x[mask] == 0.0)
             # the forward error of any stable solve grows with the condition
             # number: on two supported nodes of a 20x17 mesh (cond 1.5e5)
             # scipy's own LU and Cholesky solves differ by 1.4e-13
-            error = relative_error(x, dense)
-            assert error <= 1e-12 or (
-                error <= 1e-12 * np.linalg.cond(m_ff.toarray()) / 1e4)
-            lu = _element_data.MixedLU(m_ff, gate, reduction.tree)
-            refined = lu(b)
-            assert lu.fallbacks == 0
-            assert lu.residual <= gate
-            assert np.linalg.norm(b - m_ff @ refined) \
-                <= gate * np.linalg.norm(b)
+            want = scipy.linalg.solve(m_ff, b[free], assume_a="pos")
+            assert relative_error(x[free], want) <= bound
+            solver = _element_data.MixedCholesky(matrix, mask, gate,
+                                                 pattern.tree)
+            refined = solver(b)
+            assert solver.fallbacks == 0
+            assert solver.residual <= gate
+            assert np.linalg.norm(b[free] - m_ff @ refined[free]) \
+                <= gate * np.linalg.norm(b[free])
+            # a Dirichlet solve: nonzero values, paired with their unsorted
+            # indices, and the reduced system of the dense matrix
+            v = rng.normal(size=fixed.size)
+            x, solver = pattern.solve(matrix, gate, fixed, b, v)
+            assert np.array_equal(x[fixed], v)
+            want = scipy.linalg.solve(
+                m_ff, b[free] - dense[np.ix_(free, fixed)] @ v,
+                assume_a="pos")
+            assert relative_error(x[free], want) <= bound
+            # the adjoint of the pressure reuses the solver: zero on the
+            # Dirichlet nodes
+            assert np.all(solver(b)[fixed] == 0.0)
 
     def test_indefinite_stiffness_raises(self, monkeypatch):
         mesh = generate_mesh(12, 9, 1.2, 0.9)

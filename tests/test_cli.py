@@ -220,6 +220,23 @@ class TestRun:
         assert code == EXIT_SOLVER
         assert "solver error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", ["0,0.5,abc\n",
+                                      "0,0.5,0.5\n1,0.5\n"])
+    def test_malformed_initial_design_is_config_error(self, tmp_path, capsys,
+                                                      rows):
+        # a non-numeric cell, and a ragged row
+        design = tmp_path / "design.csv"
+        design.write_text("element,x1,x2\n" + rows)
+        path = tmp_path / "restart.cfg"
+        path.write_text(TINY_CONFIG.replace(
+            "[output]", f"[output]\ninitial_design = {design}"))
+        code = main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert str(design) in err
+
     def test_max_iters_override(self, tiny_config, tmp_path):
         out = tmp_path / "results"
         code = main(["run", "--config", str(tiny_config),
