@@ -18,8 +18,9 @@ once per thickness (``MeshIntegrals.load_matrix``).
 Both solves prescribe values on some indices: the inlet and outlet
 pressures, and the supports.  ``Pattern.solve`` is the one Dirichlet solve
 of the pressure and the displacements, for any set of fixed indices: it
-forms c = b - M x_D with x_D the prescribed values, zero elsewhere, zeroes c
-on the fixed indices, and solves with the ``MixedCholesky`` of M with the
+rejects a right-hand side or prescribed values that are not finite, forms
+c = b - M x_D with x_D the prescribed values, zero elsewhere, zeroes c on
+the fixed indices, and solves with the ``MixedCholesky`` of M with the
 fixed rows and columns made unit pivots, so that its free part is exactly
 M_ff x_f = c_f; the flow adjoint reuses that solver.
 
@@ -37,10 +38,10 @@ from LAPACK's ``potrf``, ``trtri`` and BLAS ``trsm`` and ``syrk``): in
 float32, with solutions refined in float64 (Langou et al. 2006; Carson &
 Higham 2018), and once in float64 by the same code as the fallback when
 that factorization meets a pivot that is not positive or refinement misses
-the caller's residual gate.  Only the tree knows the elimination order:
-vectors go in and out in the pattern's numbering.  ``MixedCholesky.residual``
-is the ||c_f - M_ff x_f|| / ||c_f|| of its last solve, which the
-displacement solve gates on.
+the caller's residual gate.  Either factor's solves go through one
+refinement loop, whose last ||c_f - M_ff x_f|| / ||c_f|| the displacement
+solve gates on (``MixedCholesky.residual``).  Only the tree knows the
+elimination order: vectors go in and out in the pattern's numbering.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def stiffness_kernel(weights, grads, nu, thickness):
 def _read_only(*arrays):
     for arr in arrays:
         arr.flags.writeable = False
+    return arrays
 
 
 def nested_dissection(conn, nex, ney):
@@ -174,6 +176,7 @@ class Pattern:
             node_rank, node_front = node_order
             self.rank = (br * node_rank[:, None] + np.arange(br)).ravel()
             self.front = np.repeat(node_front, br)
+            _read_only(self.rank, self.front)
         _read_only(self.indptr, self.indices, self.slot)
 
     def assemble(self, values):
@@ -198,8 +201,8 @@ class Pattern:
 
         ``values[i]`` is prescribed on ``fixed[i]``; it and ``b`` default to
         zero.  ``tol`` is the refinement's gate on the residual.  Raises
-        ``RuntimeError`` when M_ff is not positive definite in double
-        precision either.
+        ``InvalidArgumentError`` for a non-finite ``b`` or ``values``, and
+        ``RuntimeError`` when M_ff is not positive definite in float64.
         """
         if matrix.indptr is not self.indptr:  # assembled here: shared indptr
             raise InvalidArgumentError("matrix was not assembled on this mesh")
@@ -209,8 +212,11 @@ class Pattern:
         if v.shape != fixed.shape:
             raise InvalidArgumentError(f"{v.size} fixed values for "
                                        f"{fixed.size} fixed indices")
-        c = (0.0 if b is None else b) - matrix @ np.bincount(
-            fixed, weights=v, minlength=n)
+        b = 0.0 if b is None else b
+        if not (np.isfinite(b).all() and np.isfinite(v).all()):
+            raise InvalidArgumentError(
+                "right-hand side and prescribed values must be finite")
+        c = b - matrix @ np.bincount(fixed, weights=v, minlength=n)
         mask = np.zeros(n, dtype=bool)
         mask[fixed] = True
         factor = MixedCholesky(matrix, mask, tol, self.tree)
@@ -221,8 +227,12 @@ class Pattern:
 
 def check_fixed(fixed, n):
     """``fixed`` as int64 indices of ``n`` unknowns; raises
-    ``InvalidArgumentError`` when one is out of range or listed twice."""
-    fixed = np.asarray(fixed, dtype=np.int64)
+    ``InvalidArgumentError`` when they are not integers, a boolean mask
+    included, or one is out of range or listed twice."""
+    fixed = np.asarray(fixed)
+    if fixed.size and fixed.dtype.kind not in "iu":
+        raise InvalidArgumentError("fixed indices must be integers")
+    fixed = fixed.astype(np.int64)
     if np.any((fixed < 0) | (fixed >= n)):
         raise InvalidArgumentError(f"fixed index out of range [0, {n})")
     if np.bincount(fixed, minlength=n).max() > 1:
@@ -269,22 +279,22 @@ class EliminationTree:
         csc = sp.csr_matrix((np.arange(1, pattern.nnz + 1),
                              pattern.rank[pattern.indices], pattern.indptr),
                             shape=pattern.shape)[perm].tocsc()
+        # nested_dissection numbers the fronts 0, 1, ... in elimination order
         bounds = np.r_[np.flatnonzero(np.diff(front, prepend=-1)), n]
         n_fronts = bounds.size - 1
-        owner = np.repeat(np.arange(n_fronts), np.diff(bounds))
         # the lower triangle, in CSC order and so grouped by front
         col = np.repeat(np.arange(n), np.diff(csc.indptr))
         lower = np.flatnonzero(csc.indices >= col)
         row, col = csc.indices[lower], col[lower]
         self.gather = csc.data[lower] - 1
         self.rows, self.cols = perm[row], perm[col]
-        f = owner[col]
+        f = front[col]
         entry_ptr = np.searchsorted(f, np.arange(n_fronts + 1))
         past = row >= bounds[f + 1]
         own_f, own_rows = np.divmod(np.unique(f[past] * n + row[past]), n)
         own_ptr = np.searchsorted(own_f, np.arange(n_fronts + 1))
 
-        fronts, structs, height = [], [], []
+        self.fronts, structs, members = [], [], []
         children = [[] for _ in range(n_fronts)]
         for s, (start, end) in enumerate(zip(bounds[:-1].tolist(),
                                              bounds[1:].tolist())):
@@ -299,30 +309,29 @@ class EliminationTree:
             r, j = row[lo:hi], col[lo:hi] - start
             dst = np.where(r < end, r - start + p * j,
                            p * p + np.searchsorted(struct, r) + struct.size * j)
-            fronts.append((p, struct.size, slice(lo, hi), dst, adds))
-            structs.append(struct)
-            height.append(max((height[c] + 1 for c in children[s]), default=0))
-            if struct.size:
-                children[owner[struct[0]]].append(s)
-
-        # each front gets its level and its slot there
-        self.levels, self.fronts = [], []
-        members = [[] for _ in range(max(height, default=-1) + 1)]
-        for s, h in enumerate(height):
-            self.fronts.append(fronts[s] + (h, len(members[h])))
+            h = max((self.fronts[c][5] + 1 for c in children[s]), default=0)
+            if h == len(members):
+                members.append([])
+            self.fronts.append((p, struct.size, slice(lo, hi), dst, adds, h,
+                                len(members[h])))
             members[h].append(s)
+            structs.append(struct)
+            if struct.size:
+                children[front[struct[0]]].append(s)
+
+        self.levels = []
         for level in members:
-            p_max = max(fronts[s][0] for s in level)
-            u_max = max(fronts[s][1] for s in level)
+            p_max = max(self.fronts[s][0] for s in level)
+            u_max = max(self.fronts[s][1] for s in level)
             piv = np.full((len(level), p_max), n)
             upd = np.full((len(level), u_max), n)
             for i, s in enumerate(level):
-                piv[i, :fronts[s][0]] = perm[bounds[s]:bounds[s + 1]]
-                upd[i, :fronts[s][1]] = perm[structs[s]]
+                piv[i, :self.fronts[s][0]] = perm[bounds[s]:bounds[s + 1]]
+                upd[i, :self.fronts[s][1]] = perm[structs[s]]
             self.levels.append((piv, upd))
         _read_only(self.gather, self.rows, self.cols,
                    *(a for level in self.levels for a in level),
-                   *(front[3] for front in fronts))
+                   *(entry[3] for entry in self.fronts))
 
 
 def _extend_add(pos, p):
@@ -360,7 +369,7 @@ class Cholesky:
     def __init__(self, tree, data, fixed, dtype):
         potrf, trtri = get_lapack_funcs(("potrf", "trtri"), dtype=dtype)
         trsm, syrk = get_blas_funcs(("trsm", "syrk"), dtype=dtype)
-        self.n = tree.n
+        self.n, self.dtype = tree.n, dtype
         # per level: the transposes of each front's inverse pivot block and
         # L21, zero-padded, stored row by row as LAPACK returns them
         self.levels = [(piv, upd,
@@ -398,9 +407,9 @@ class Cholesky:
             inv_t[i, :p, :p] = trtri(l11, lower=1, overwrite_c=1)[0].T
 
     def solve(self, b):
-        """x with L L^T x = b; ``b`` in the factor's dtype and, like x, in
-        the pattern's numbering."""
-        x = np.zeros(self.n + 1, dtype=b.dtype)  # x[n] is the padding
+        """x with L L^T x = b, in the factor's dtype; ``b`` is rounded to
+        it, and both are in the pattern's numbering."""
+        x = np.zeros(self.n + 1, dtype=self.dtype)  # x[n] is the padding
         x[:-1] = b
         for piv, upd, inv_t, l21_t in self.levels:
             y = np.matmul(x[piv][:, None, :], inv_t)
@@ -422,37 +431,36 @@ class MixedCholesky:
     The boolean ``fixed`` marks the prescribed unknowns.  Vectors are full
     and in M's numbering: b is read on the free unknowns only, and x is zero
     on the fixed ones.  ``Cholesky`` factors M in float32 on ``tree``, with
-    the fixed unknowns as unit pivots.  Refinement repeats
-    x += (LL^T)32^-1 r, r = b - M x zeroed on the fixed unknowns, in float64
+    the fixed unknowns as unit pivots.  Every solve is refined in float64 by
+    the one loop x += (LL^T)^-1 r, r = b - M x zeroed on the fixed unknowns,
     until ||r|| / ||b_f|| no longer halves, at most ``_MAX_STEPS`` times.
     When the float32 factorization fails (a pivot that is not positive), or
     a refined result misses ``tol`` (or is not finite), M is factored once
-    in float64 by the same code and that factor solves from then on;
-    ``fallbacks`` counts it, and a float64 failure raises ``RuntimeError``.
-    ``steps`` holds the refinement steps of the last solve, ``residual`` its
-    ||b_f - M_ff x_f|| / ||b_f||, and ``nnz`` the stored entries of the
-    factor in use.
+    in float64 by the same code, and that factor, refined by the same loop,
+    solves from then on; ``fallbacks`` counts it, and a float64 failure
+    raises ``RuntimeError``.  ``steps`` holds the refinement steps of the
+    last solve, ``residual`` its ||b_f - M_ff x_f|| / ||b_f||, both from the
+    factor that produced x, and ``nnz`` the stored entries of that factor.
     """
 
     def __init__(self, matrix, fixed, tol, tree):
         self.matrix, self.fixed, self.tol = matrix, fixed, tol
         self._tree = tree
-        self._chol64 = None
         self.steps = self.fallbacks = 0
         try:
-            self._chol32 = Cholesky(tree, matrix.data, fixed, np.float32)
+            self._chol = Cholesky(tree, matrix.data, fixed, np.float32)
         except np.linalg.LinAlgError:  # not positive definite in float32
             self._factor64()
 
     @property
     def nnz(self):
-        return (self._chol32 if self._chol64 is None else self._chol64).nnz
+        return self._chol.nnz
 
     def _factor64(self):
         self.fallbacks += 1
         try:
-            self._chol64 = Cholesky(self._tree, self.matrix.data, self.fixed,
-                                    np.float64)
+            self._chol = Cholesky(self._tree, self.matrix.data, self.fixed,
+                                  np.float64)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"matrix is not positive definite: {exc}") \
                 from exc
@@ -465,14 +473,10 @@ class MixedCholesky:
 
     def __call__(self, b):
         b = np.where(self.fixed, 0.0, b)
-        if self._chol64 is None:
-            x, self.residual = self._refine(b)
-            if self.residual <= self.tol:
-                return x
+        x, self.residual = self._refine(b)
+        if not self.fallbacks and not self.residual <= self.tol:
             self._factor64()
-        x = self._chol64.solve(b)
-        self.residual = (np.linalg.norm(self._residual(b, x))
-                         / (np.linalg.norm(b) or 1.0))
+            x, self.residual = self._refine(b)
         return x
 
     def _refine(self, b):
@@ -481,12 +485,12 @@ class MixedCholesky:
         b_norm = np.linalg.norm(b)
         if b_norm == 0.0:
             return np.zeros_like(b), 0.0
-        x = self._chol32.solve(b.astype(np.float32)).astype(np.float64)
+        x = self._chol.solve(b).astype(np.float64)
         r = self._residual(b, x)
         rel = np.linalg.norm(r) / b_norm
         while self.steps < _MAX_STEPS:
             self.steps += 1
-            x_new = x + self._chol32.solve(r.astype(np.float32))
+            x_new = x + self._chol.solve(r)
             r_new = self._residual(b, x_new)
             rel_new = np.linalg.norm(r_new) / b_norm
             if not rel_new < rel:  # no progress, or not finite
@@ -500,7 +504,7 @@ class MixedCholesky:
 
 class MeshIntegrals:
     """Template element matrices, element DOF maps and, built on first use,
-    the sparse patterns of one mesh."""
+    the sparse patterns of one mesh; all their arrays are read-only."""
 
     def __init__(self, mesh):
         self.weights, self.shape, self.grads = element_quadrature(
@@ -517,6 +521,8 @@ class MeshIntegrals:
         self.udofs = np.empty((mesh.n_elements, 12), dtype=self.conn.dtype)
         self.udofs[:, 0::2] = 2 * self.conn
         self.udofs[:, 1::2] = 2 * self.conn + 1
+        _read_only(self.weights, self.shape, self.grads, self.diffusion,
+                   self.mass, self.udofs)
         self._stiffness = {}
         self._load_matrix = {}
 
@@ -542,16 +548,15 @@ class MeshIntegrals:
         keys = (self.conn[:, :, None] * n + self.conn[:, None, :]).ravel()
         pairs, slot = np.unique(keys, return_inverse=True)
         node_ptr = np.searchsorted(pairs, np.arange(n + 1) * n)
-        return node_ptr, pairs % n, slot.reshape(self.conn.shape + (6,))
+        return _read_only(node_ptr, pairs % n,
+                          slot.reshape(self.conn.shape + (6,)))
 
     @cached_property
     def node_order(self):
         """Rank of each node in the mesh's nested-dissection order and the
         front that eliminates it, built once, with the first pattern that
         needs them."""
-        order = nested_dissection(self.conn, *self.grid)
-        _read_only(*order)
-        return order
+        return _read_only(*nested_dissection(self.conn, *self.grid))
 
     @cached_property
     def flow_pattern(self) -> Pattern:

@@ -48,7 +48,8 @@ def compliance_sensitivity(mesh, materials, flow_params, state, filt,
     d_filtered = -de * uku[:, None]
 
     if include_load_term:
-        lam2 = pressure.adjoint_solve(2.0 * (pressure.T.T @ state.u))
+        # A is symmetric, so the adjoint reuses the state solve's factor
+        lam2 = pressure.factor(2.0 * (pressure.T.T @ state.u))
         lam_e = lam2[data.conn]
         rho1 = design.filtered[:, 0]
         _, dk = flow_coefficient(rho1, flow_params)

@@ -15,8 +15,8 @@ pattern; T is built once per mesh and thickness and then reused.
 nodes and solves A p = 0 by ``Pattern.solve`` of the flow pattern: a float32
 factor of A, with the Dirichlet nodes as unit pivots, refined in float64 on
 the free nodes.  It returns a frozen ``PressureState`` holding A, T, p and
-that refined solve, which the flow adjoint reuses; ``pressure_loads(T, p)``
-gives the consistent nodal loads F = -T p.
+that refined solve, ``factor``, which the flow adjoint calls;
+``pressure_loads(T, p)`` gives the consistent nodal loads F = -T p.
 """
 
 from __future__ import annotations
@@ -132,21 +132,14 @@ def penetration_drainage(params: FlowParams, element_height,
 @dataclass(frozen=True)
 class PressureState:
     """Flow matrix A, transformation T and the field p from ``solve_pressure``;
-    ``factor`` is the refined solve of A on the free nodes
-    (``_element_data.MixedCholesky``), reused by the adjoint.
+    ``factor(rhs)`` solves A x = rhs on the free nodes, zero on the others
+    (``_element_data.MixedCholesky``); the flow adjoint calls it.
     """
 
     A: sp.csr_matrix
     T: sp.csr_matrix
     p: np.ndarray
     factor: object = field(repr=False)
-
-    def adjoint_solve(self, rhs):
-        """Solve A lam = rhs on the free nodes, zero on Dirichlet nodes.
-
-        Reuses the factorization of the state solve (A is symmetric).
-        """
-        return self.factor(rhs)
 
 
 def assemble_flow(mesh, design, params: FlowParams):
@@ -171,8 +164,8 @@ def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
 
     ``pressure_bc`` maps edge names ('top', 'bottom', 'left', 'right') to
     pressure values in Pa; ``A`` comes from ``assemble_flow`` on ``mesh``.
-    Returns the solved ``PressureState``, which keeps the factorization for
-    adjoint reuse.
+    Returns the solved ``PressureState``, whose ``factor`` the adjoint
+    reuses; a non-finite pressure is rejected before anything is factored.
     """
     node_sets = []
     for edge in pressure_bc:

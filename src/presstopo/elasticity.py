@@ -6,8 +6,8 @@ entries into the mesh's fixed stiffness pattern with one ``np.bincount``.
 ``solve_displacements(K, F, mesh, fixed_dofs)`` solves K u = F by
 ``Pattern.solve`` of the stiffness pattern: a float32 factor of K, with the
 supports as unit pivots, refined in float64 on the free DOFs and gated on
-its residual.  Supports that leave a rigid-body mode free are rejected
-before anything is factored.
+its residual.  Supports that leave a rigid-body mode free, and non-finite
+loads or prescribed values, are rejected before anything is factored.
 """
 
 from __future__ import annotations
@@ -71,19 +71,15 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
 
     ``K`` comes from ``assemble_stiffness`` on ``mesh``.  ``fixed_values[i]``
     is prescribed on ``fixed_dofs[i]``, in the order the DOFs are passed, and
-    defaults to homogeneous supports; a DOF listed twice is rejected, and so
-    is a non-finite load or prescribed value.  Supports that leave a
-    rigid-body mode free raise ``SingularSystemError`` naming the mode.  The
-    reduced system K_ff u_f = F_f - K_fd v is solved by ``Pattern.solve``;
-    its ``MixedCholesky.residual``,
+    defaults to homogeneous supports; a DOF that is not an integer or is
+    listed twice is rejected, and so is a non-finite load or prescribed
+    value.  Supports that leave a rigid-body mode free raise
+    ``SingularSystemError`` naming the mode.  The reduced system
+    K_ff u_f = F_f - K_fd v is solved by ``Pattern.solve``; its
+    ``MixedCholesky.residual``,
     ||K_ff u_f - (F_f - K_fd v)|| / ||F_f - K_fd v||, must be at most 1e-9.
     """
     F = np.asarray(F, dtype=float)
-    if not np.all(np.isfinite(F)) or (
-            fixed_values is not None
-            and not np.all(np.isfinite(np.asarray(fixed_values, dtype=float)))):
-        raise InvalidArgumentError("load and prescribed displacements must "
-                                   "be finite")
     pattern = mesh_integrals(mesh).stiffness_pattern
     fixed = check_fixed(fixed_dofs, pattern.shape[0])
     free_modes = _free_rigid_modes(mesh, fixed)

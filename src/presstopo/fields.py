@@ -166,7 +166,7 @@ class DesignField:
 
     ``raw`` and ``filtered`` are (n_elements, m) with m design variables per
     element (one per candidate material); volumes are element area times the
-    out-of-plane thickness.
+    out-of-plane thickness, and both must be positive and finite.
     """
 
     raw: np.ndarray
@@ -188,6 +188,8 @@ class DesignField:
                       & (self.element_volumes < np.inf)):
             raise InvalidArgumentError(
                 "element volumes must be positive and finite")
+        if not 0 < self.thickness < np.inf:
+            raise InvalidArgumentError("thickness must be positive and finite")
 
     @property
     def n_elements(self):

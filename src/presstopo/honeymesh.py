@@ -71,9 +71,18 @@ class Mesh:
     nex, ney : element counts in x (columns) and y (per column).
     Lx, Ly : bounding-box dimensions in metres.
     boundary_node_sets : dict with keys 'left', 'right', 'bottom', 'top'.
+
+    Every array is read-only.  The counts must be integers >= 1 and the
+    dimensions positive and finite, or ``InvalidArgumentError`` is raised.
     """
 
     def __init__(self, nex, ney, lx, ly):
+        if not all(1 <= n < np.inf and int(n) == n for n in (nex, ney)):
+            raise InvalidArgumentError(
+                f"element counts must be integers >= 1, got {nex}x{ney}")
+        if not (0 < lx < np.inf and 0 < ly < np.inf):
+            raise InvalidArgumentError(
+                f"domain dimensions must be positive and finite, got {lx}x{ly}")
         self.nex, self.ney = int(nex), int(ney)
         self.Lx, self.Ly = float(lx), float(ly)
         cols = np.repeat(np.arange(self.nex, dtype=np.int64), self.ney)
@@ -100,7 +109,7 @@ class Mesh:
         }
         for arr in (self.nodes, self.elements, self.node_lattice,
                     self.element_cols, self.element_rows,
-                    self._centroid_lattice):
+                    self._centroid_lattice, *self.boundary_node_sets.values()):
             arr.setflags(write=False)
         self._cache = {}
 
@@ -157,18 +166,8 @@ class Mesh:
 
 
 def generate_mesh(nex, ney, lx, ly):
-    """Generate a honeycomb mesh of ``nex x ney`` hexagons on ``[0,Lx]x[0,Ly]``.
-
-    Odd columns are shifted up by half an element height; node coordinates are
-    scaled so the tessellation's bounding box is exactly ``Lx x Ly``.  Boundary
-    node sets are the nodes lying on the bounding box.
-    """
-    if not all(1 <= n < np.inf and int(n) == n for n in (nex, ney)):
-        raise InvalidArgumentError(
-            f"element counts must be integers >= 1, got {nex}x{ney}")
-    if not (0 < lx < np.inf and 0 < ly < np.inf):
-        raise InvalidArgumentError(
-            f"domain dimensions must be positive and finite, got {lx}x{ly}")
+    """The honeycomb ``Mesh`` of ``nex x ney`` hexagons on ``[0,Lx]x[0,Ly]``,
+    built and checked by ``Mesh`` itself."""
     return Mesh(nex, ney, lx, ly)
 
 

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -270,6 +271,28 @@ class TestPatternsBuiltOnce:
                                 np.concatenate([2 * nodes, 2 * nodes + 1]))
         assert built == [data.flow_pattern, data.stiffness_pattern]
 
+    def test_every_cached_array_is_read_only(self):
+        # one write to a cached array would corrupt every later solve on
+        # the mesh, so the mesh, its integrals, its patterns and their
+        # trees hold read-only arrays only
+        mesh = generate_mesh(4, 3, 0.4, 0.3)
+        design = make_uniform_design(mesh, [0.6, 0.5])
+        a, t = assemble_flow(mesh, design, FLOW)
+        solve_pressure(a, t, mesh, {"top": 1e5, "bottom": 0.0})
+        k = assemble_stiffness(mesh, design, MATS)
+        bottom = mesh.boundary_node_sets["bottom"]
+        solve_displacements(k, np.ones(k.shape[0]), mesh,
+                            np.concatenate([2 * bottom, 2 * bottom + 1]))
+        data = mesh_integrals(mesh)
+        arrays = list(held_arrays(mesh))
+        for cached in (mesh.boundary_node_sets["top"], data.udofs,
+                       data.diffusion, data.mass, data.flow_pattern.rank,
+                       data.stiffness_pattern.front,
+                       data.stiffness_pattern.tree.gather, t.indices):
+            assert any(arr is cached for arr in arrays)
+        writable = [arr.shape for arr in arrays if arr.flags.writeable]
+        assert writable == []
+
     def test_matrix_of_another_mesh_rejected(self):
         mesh = generate_mesh(4, 3, 0.4, 0.3)
         other = generate_mesh(4, 3, 0.4, 0.3)
@@ -286,24 +309,51 @@ class TestPatternsBuiltOnce:
                                                          np.arange(6))
 
 
+def held_arrays(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through the attributes of
+    presstopo objects, dicts, lists, tuples and sparse matrices."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if sp.issparse(obj):
+        children = (obj.data, obj.indices, obj.indptr)
+    elif isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    elif type(obj).__module__.startswith("presstopo"):
+        children = vars(obj).values()
+    else:
+        return
+    for child in children:
+        yield from held_arrays(child, seen)
+
+
 class SpyFactor:
     """Replaces ``_element_data.Cholesky``, the factor both solves make, and
     records the dtype of every factorization.  With ``nan32`` the float32
     factors solve to NaN; with ``scale64`` the float64 factors' solutions
-    are scaled by it."""
+    are scaled by it.  ``factors`` holds every factor it returned."""
 
     def __init__(self, monkeypatch, nan32=False, scale64=None):
-        self.calls, self._real = [], _element_data.Cholesky
+        self.calls, self.factors = [], []
+        self._real = _element_data.Cholesky
         self.nan32, self.scale64 = nan32, scale64
         monkeypatch.setattr(_element_data, "Cholesky", self)
 
     def __call__(self, tree, data, fixed, dtype):
         self.calls.append(dtype)
         factor = self._real(tree, data, fixed, dtype)
-        if dtype == np.float32:
-            return NaNFactor(factor) if self.nan32 else factor
-        return factor if self.scale64 is None else ScaledFactor(factor,
-                                                                self.scale64)
+        if dtype == np.float32 and self.nan32:
+            factor = NaNFactor(factor)
+        elif dtype == np.float64 and self.scale64 is not None:
+            factor = ScaledFactor(factor, self.scale64)
+        self.factors.append(factor)
+        return factor
 
 
 class NaNFactor:
@@ -315,11 +365,15 @@ class NaNFactor:
 
 
 class ScaledFactor:
+    """Scales the solutions of ``factor`` and counts its solves."""
+
     def __init__(self, factor, scale):
         self._factor, self.scale = factor, scale
         self.nnz = factor.nnz
+        self.solves = 0
 
     def solve(self, b):
+        self.solves += 1
         return self.scale * self._factor.solve(b)
 
 
@@ -420,7 +474,7 @@ class TestRefinedSolve:
             assert relative_error(state.p[nodes],
                                   float64_solve(a, nodes, rhs)) <= 1e-12
             g = rng.normal(size=a.shape[0])
-            lam = state.adjoint_solve(g)
+            lam = state.factor(g)
             assert np.all(lam[dirichlet] == 0.0)
             assert relative_error(lam[nodes],
                                   float64_solve(a, nodes, g[nodes])) <= 1e-12
@@ -465,6 +519,68 @@ class TestRefinedSolve:
             solve_displacements(k, f, mesh, fixed)
         assert spy.calls == [np.float32, np.float64]
 
+    def test_steps_count_the_float64_loop(self, monkeypatch):
+        # an unreachable gate forces the fallback; steps and residual then
+        # come from the float64 factor's own refinement loop, on that call
+        # and on the next one, which reuses the factor as the adjoint does
+        mesh, design, fixed, rng = self._problem(2)
+        k = assemble_stiffness(mesh, design, MATS)
+        pattern = mesh_integrals(mesh).stiffness_pattern
+        spy = SpyFactor(monkeypatch, scale64=1.0)  # counts float64 solves
+        f = rng.normal(size=k.shape[0])
+        x, factor = pattern.solve(k, 0.0, fixed, f)
+        assert spy.calls == [np.float32, np.float64]
+        assert factor.fallbacks == 1
+        float64 = spy.factors[1]
+
+        def check(b, x, solves):
+            # one solve of b, then one per refinement step
+            assert factor.steps == solves - 1 >= 1
+            rhs = np.where(factor.fixed, 0.0, b)
+            r = rhs - k @ x
+            r[factor.fixed] = 0.0
+            assert factor.residual == pytest.approx(
+                np.linalg.norm(r) / np.linalg.norm(rhs), rel=1e-12)
+
+        check(f, x, float64.solves)
+        g, before = rng.normal(size=k.shape[0]), float64.solves
+        check(g, factor(g), float64.solves - before)
+        assert spy.calls == [np.float32, np.float64]
+
+    def test_refinement_corrects_float64_factor(self, monkeypatch):
+        # the float32 factors solve to NaN, and the float64 factor's
+        # solutions are off by a relative 1e-6: refining the fallback by
+        # the same loop meets both gates
+        mesh, design, fixed, rng = self._problem(2)
+        k = assemble_stiffness(mesh, design, MATS)
+        f = rng.normal(size=k.shape[0])
+        spy = SpyFactor(monkeypatch, nan32=True, scale64=1.0 + 1e-6)
+        u, _ = solve_displacements(k, f, mesh, fixed)
+        free = np.setdiff1d(np.arange(k.shape[0]), fixed)
+        assert relative_error(u[free], float64_solve(k, free, f[free])) \
+            <= 1e-12
+        state = solve_pressure(*assemble_flow(mesh, design, FLOW), mesh,
+                               {"top": 1e5, "bottom": 0.0})
+        assert state.factor.fallbacks == 1
+        assert state.factor.residual <= 1e-10
+        assert spy.calls == [np.float32, np.float64] * 2
+        assert 1 <= spy.factors[1].solves - 1 <= _element_data._MAX_STEPS
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_unfactored(self, monkeypatch, value):
+        mesh, design, fixed, rng = self._problem(4, nex=5, ney=4)
+        spy = SpyFactor(monkeypatch)
+        a, t = assemble_flow(mesh, design, FLOW)
+        for bc in ({"top": value, "bottom": 0.0}, {"top": 1e5, "left": value}):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                solve_pressure(a, t, mesh, bc)
+        k = assemble_stiffness(mesh, design, MATS)
+        f = rng.normal(size=k.shape[0])
+        f[7] = value
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            solve_displacements(k, f, mesh, fixed)
+        assert spy.calls == []
+
     def test_nan_residual_engages_fallback(self, monkeypatch):
         mesh, design, fixed, rng = self._problem(3)
         spy = SpyFactor(monkeypatch, nan32=True)
@@ -482,7 +598,7 @@ class TestRefinedSolve:
                                {"top": 1e5, "bottom": 0.0})
         assert state.factor.fallbacks == 1
         assert np.all(np.isfinite(state.p))
-        assert np.all(np.isfinite(state.adjoint_solve(f[:mesh.n_nodes])))
+        assert np.all(np.isfinite(state.factor(f[:mesh.n_nodes])))
         # the adjoint reuses the float64 factor
         assert spy.calls == [np.float32, np.float64]
 

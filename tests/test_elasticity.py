@@ -218,6 +218,15 @@ class TestSolveDisplacements:
                 solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4,
                                     np.append(fixed, extra))
 
+    def test_non_integer_dofs_rejected(self, mesh_5x4):
+        # DOF 2.9 is not DOF 2, and a boolean mask is not a list of DOFs
+        k, fixed = self._system(mesh_5x4)
+        mask = np.zeros(k.shape[0], dtype=bool)
+        mask[fixed] = True
+        for dofs in (fixed + 0.9, mask):
+            with pytest.raises(InvalidArgumentError, match="integers"):
+                solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4, dofs)
+
     def test_non_finite_load_or_value_rejected(self, mesh_5x4):
         k, fixed = self._system(mesh_5x4)
         f = np.zeros(k.shape[0])

@@ -172,6 +172,13 @@ class TestDesignField:
         with pytest.raises(InvalidArgumentError, match="volume"):
             DesignField(raw=raw, filtered=raw, element_volumes=volumes)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_thickness_rejected(self, mesh, value):
+        raw = np.full((mesh.n_elements, 2), 0.5)
+        with pytest.raises(InvalidArgumentError, match="thickness"):
+            DesignField(raw=raw, filtered=raw,
+                        element_volumes=mesh.element_areas(), thickness=value)
+
 
 class TestMaterialSet:
     def test_e_min_rule(self):

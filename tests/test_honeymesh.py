@@ -16,6 +16,8 @@ from presstopo import (
     wachspress_shape,
 )
 
+from presstopo.honeymesh import Mesh
+
 from conftest import boundary_edges, random_convex_hexagon, regular_hexagon
 
 
@@ -109,6 +111,8 @@ class TestGenerateMesh:
     def test_invalid_arguments(self, args):
         with pytest.raises(InvalidArgumentError):
             generate_mesh(*args)
+        with pytest.raises(InvalidArgumentError):
+            Mesh(*args)
 
     @pytest.mark.parametrize("nex", range(1, 9))
     @pytest.mark.parametrize("ney", range(1, 6))
