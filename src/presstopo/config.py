@@ -49,7 +49,6 @@ class ProblemConfig:
     flow_beta: float = darcy.FlowParams.beta_k
     drain_eta: float = darcy.FlowParams.eta_d
     drain_beta: float = darcy.FlowParams.beta_d
-    void_flow_coefficient: float = darcy.FlowParams.k_void
     drainage_solid: float | None = None
     drainage_remainder: float = 0.1
     drainage_depth_elements: float = 2.0
@@ -132,13 +131,11 @@ class ProblemConfig:
         penetration-depth rule (``darcy.penetration_drainage``).
         """
         flow = darcy.FlowParams(
-            k_void=self.void_flow_coefficient,
             epsilon=self.flow_contrast,
             eta_k=self.flow_eta,
             beta_k=self.flow_beta,
             eta_d=self.drain_eta,
             beta_d=self.drain_beta,
-            d_solid=0.0,
         )
         d_solid = self.drainage_solid
         if d_solid is None:
@@ -214,7 +211,6 @@ _OPTIONS = {
     ("flow", "step_beta"): ("flow_beta", float),
     ("flow", "drain_eta"): ("drain_eta", float),
     ("flow", "drain_beta"): ("drain_beta", float),
-    ("flow", "void_coefficient"): ("void_flow_coefficient", float),
     ("flow", "drainage_solid"): ("drainage_solid", float),
     ("flow", "drainage_remainder"): ("drainage_remainder", float),
     ("flow", "drainage_depth"): ("drainage_depth_elements", float),
@@ -231,6 +227,10 @@ _OPTIONS = {
     ("output", "initial_design"): ("initial_design", str),
 }
 _REQUIRED = ("lx", "ly", "nex", "ney", "e_moduli")
+# options that set one thing two ways; a file sets at most one of each pair
+_ALTERNATIVES = ((("filter", "radius_elements"), ("filter", "radius_abs")),
+                 (("flow", "drainage_solid"), ("flow", "drainage_remainder")),
+                 (("flow", "drainage_solid"), ("flow", "drainage_depth")))
 
 
 def load_config(path) -> ProblemConfig:
@@ -240,12 +240,14 @@ def load_config(path) -> ProblemConfig:
     'arch-3mat', 'piston-3mat').  Options it does not read are rejected, so
     a misspelt option is an error, not a silent default; so is a non-finite
     number (``nan``, ``inf``), a boolean outside configparser's own table
-    (``1/yes/true/on``, ``0/no/false/off``, any case), and an edge named as
-    both pressure inlet and outlet.
+    (``1/yes/true/on``, ``0/no/false/off``, any case), an edge named as
+    both pressure inlet and outlet, and both options of a pair of
+    alternatives (``radius_elements`` or ``radius_abs``; ``drainage_solid``
+    or the penetration rule's ``drainage_remainder`` and ``drainage_depth``).
     """
     path = Path(path)
     if not path.exists():
-        builtin = builtin_config_path(str(path), missing_ok=True)
+        builtin = builtin_config_path(str(path))
         if builtin is None:
             raise ConfigError(f"config file not found: {path}")
         path = builtin
@@ -274,11 +276,16 @@ def load_config(path) -> ProblemConfig:
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"[{section}] {option} = {raw!r}: {exc}") from exc
 
-    options = {}
-    for (section, option), (name, cast) in _OPTIONS.items():
-        value = get(section, option, cast)
+    options, given = {}, set()
+    for key, (name, cast) in _OPTIONS.items():
+        value = get(*key, cast)
         if value is not None:
             options[name] = value
+            given.add(key)
+    for pair in _ALTERNATIVES:
+        if set(pair) <= given:
+            raise ConfigError("set only one of " + " and ".join(
+                f"[{section}] {option}" for section, option in pair))
     missing = [name for name in _REQUIRED if name not in options]
     if missing:
         raise ConfigError(f"missing required options: {', '.join(missing)}")
@@ -295,9 +302,6 @@ def load_config(path) -> ProblemConfig:
                                                  float, 0.0)))
 
     supports = get("supports", "fixed", _parse_supports, ())
-    for option, directions in (("roller_x", "x"), ("roller_y", "y")):
-        supports += tuple(replace(s, directions=directions) for s in
-                          get("supports", option, _parse_supports, ()))
 
     unknown = [f"[{section}] {option}" for section in parser.sections()
                for option in parser.options(section)
@@ -308,16 +312,14 @@ def load_config(path) -> ProblemConfig:
                          supports=supports, name=path.stem).validate()
 
 
-def builtin_config_path(name, missing_ok=False):
-    """Filesystem path of a shipped benchmark configuration."""
+def builtin_config_path(name):
+    """Filesystem path of a shipped benchmark configuration, or None."""
     filename = name if name.endswith(".cfg") else f"{name}.cfg"
     ref = resources.files("presstopo") / "configs" / filename
     with resources.as_file(ref) as concrete:
         if concrete.exists():
             return Path(concrete)
-    if missing_ok:
-        return None
-    raise ConfigError(f"no builtin config named {name!r}")
+    return None
 
 
 def builtin_config_names():

@@ -4,7 +4,10 @@ The flux follows q = -K(r1) grad p, where the elemental flow coefficient K
 steps from the void value K_v down to the solid value K_s = eps * K_v through
 a smooth Heaviside of the filtered topology density r1.  A drainage sink
 -D(r1) (p - p_ext) with p_ext = 0 makes the pressure decay across solid
-members, so the load localizes at the evolving structural boundary.
+members, so the load localizes at the evolving structural boundary.  One
+kernel gives the step and its slope (0 where cosh^2 overflows, so any finite
+beta is usable).  Under the penetration rule D_s scales with K_s = eps K_v,
+so A scales with K_v as a whole: config files leave K_v at 1.
 
 Assembling both terms over the hexagon quadrature gives the symmetric global
 flow matrix A and the design-independent transformation matrix T
@@ -70,27 +73,24 @@ class FlowParams:
         return self.epsilon * self.k_void
 
 
+def _step(x, beta, eta):
+    """Smooth step H = [tanh(b e) + tanh(b (x - e))] / [tanh(b e) +
+    tanh(b (1 - e))] and its slope dH/dx.  H maps 0 -> 0 and 1 -> 1 exactly
+    for beta > 0; beta == 0 gives zeros (step disabled).  Where
+    cosh(b (x - e))^2 overflows, the slope takes its limit, 0."""
+    x = np.asarray(x, dtype=float)
+    if beta == 0.0:
+        return np.zeros_like(x), np.zeros_like(x)
+    denom = np.tanh(beta * eta) + np.tanh(beta * (1.0 - eta))
+    with np.errstate(over="ignore"):
+        slope = beta / (np.cosh(beta * (x - eta)) ** 2 * denom)
+    return (np.tanh(beta * eta) + np.tanh(beta * (x - eta))) / denom, slope
+
+
 def smooth_heaviside(x, beta, eta):
-    """Smooth step [tanh(b e) + tanh(b (x - e))] / [tanh(b e) + tanh(b (1 - e))].
-
-    Maps 0 -> 0 and 1 -> 1 exactly for beta > 0; beta == 0 returns 0 (step
-    disabled).
-    """
-    x = np.asarray(x, dtype=float)
-    if beta == 0.0:
-        out = np.zeros_like(x)
-        return float(out) if out.ndim == 0 else out
-    denom = np.tanh(beta * eta) + np.tanh(beta * (1.0 - eta))
-    out = (np.tanh(beta * eta) + np.tanh(beta * (x - eta))) / denom
+    """The step H of the flow law (``_step``); a float for a scalar ``x``."""
+    out = _step(x, beta, eta)[0]
     return float(out) if out.ndim == 0 else out
-
-
-def _heaviside_derivative(x, beta, eta):
-    x = np.asarray(x, dtype=float)
-    if beta == 0.0:
-        return np.zeros_like(x)
-    denom = np.tanh(beta * eta) + np.tanh(beta * (1.0 - eta))
-    return beta / (np.cosh(beta * (x - eta)) ** 2 * denom)
 
 
 def flow_coefficient(rho1, params: FlowParams):
@@ -99,8 +99,7 @@ def flow_coefficient(rho1, params: FlowParams):
     K = K_v (1 - (1 - eps) H(r1)); depends on the topology variable only,
     irrespective of how many candidate materials are interpolated.
     """
-    h = smooth_heaviside(rho1, params.beta_k, params.eta_k)
-    dh = _heaviside_derivative(rho1, params.beta_k, params.eta_k)
+    h, dh = _step(rho1, params.beta_k, params.eta_k)
     k = params.k_void * (1.0 - (1.0 - params.epsilon) * h)
     dk = -params.k_void * (1.0 - params.epsilon) * dh
     return k, dk
@@ -108,8 +107,7 @@ def flow_coefficient(rho1, params: FlowParams):
 
 def drainage_coefficient(rho1, params: FlowParams):
     """Elemental drainage coefficient D(r1) = D_s H(r1) and its derivative."""
-    h = smooth_heaviside(rho1, params.beta_d, params.eta_d)
-    dh = _heaviside_derivative(rho1, params.beta_d, params.eta_d)
+    h, dh = _step(rho1, params.beta_d, params.eta_d)
     return params.d_solid * h, params.d_solid * dh
 
 

@@ -8,7 +8,6 @@ are deterministic: the same configuration reproduces the same log.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -43,23 +42,6 @@ class RunLog:
                 f"{record.compliance}"
             )
         self.records.append(record)
-
-    def header(self):
-        gs = [f"g{j + 1}" for j in range(self.n_constraints)]
-        return ["iter", "compliance", *gs, "max_dx"]
-
-    def rows(self):
-        for r in self.records:
-            yield [r.iteration, r.compliance, *r.volume_measures,
-                   r.max_design_change]
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self.header())
-            for row in self.rows():
-                writer.writerow([f"{v:.12g}" if isinstance(v, float) else v
-                                 for v in row])
 
 
 @dataclass
@@ -220,9 +202,13 @@ def run_optimization(config, progress=None):
             break
 
     # final analysis so returned fields match the final design
-    design = make_design(raw, filt, mesh, materials)
-    estate = analyze(design, mesh, materials, flow, fixed_dofs,
-                     config.pressure_bc)
+    try:
+        design = make_design(raw, filt, mesh, materials)
+        estate = analyze(design, mesh, materials, flow, fixed_dofs,
+                         config.pressure_bc)
+    except PresstopoError as exc:
+        raise type(exc)(f"final analysis after {len(log.records)} "
+                        f"iterations: {exc}") from exc
     log.wall_time = time.perf_counter() - start
     return RunResult(log=log, design=design, pressure=estate.pressure,
                      elastic=estate, mesh=mesh, config=config)

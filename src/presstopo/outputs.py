@@ -1,8 +1,9 @@
 """Result files: convergence CSV, design CSV, legacy VTK polydata, SVG.
 
 Each block of numbers is formatted in one ``%`` operation over a joined
-line template, with the same conversions (``%.17g``, ``%.2f``) as one
-f-string per value.
+line template, with the same conversions (``%.12g``, ``%.17g``, ``%.2f``)
+as one f-string per value.  Both CSV files have ``csv.writer``'s layout:
+a header row and CRLF line ends.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def write_outputs(result, output_dir):
         out.mkdir(parents=True, exist_ok=True)
         written = []
         path = out / "convergence.csv"
-        result.log.write_csv(path)
+        write_convergence_csv(path, result.log)
         written.append(path)
         path = out / "design.csv"
         write_design_csv(path, result.design)
@@ -63,17 +64,29 @@ def _lines(template, rows, sep="\n"):
     return sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
 
 
+def _write_csv(path, names, template, rows):
+    """A header of ``names``, then ``template % row`` for each row of
+    ``rows`` (its integer column through %d as an exact float), CRLF ends."""
+    Path(path).write_text(",".join(names) + "\r\n"
+                          + _lines(template + "\r\n", rows, ""), newline="")
+
+
+def write_convergence_csv(path, log):
+    """One row per iteration: iter, compliance, g1..gm, max_dx."""
+    m = log.n_constraints
+    rows = np.array([[r.iteration, r.compliance, *r.volume_measures,
+                      r.max_design_change] for r in log.records])
+    _write_csv(path, ["iter", "compliance", *[f"g{j + 1}" for j in range(m)],
+                      "max_dx"],
+               ",".join(["%d"] + ["%.12g"] * (m + 2)), rows.reshape(-1, m + 3))
+
+
 def write_design_csv(path, design):
-    """Raw design variables per element: id, rho1, rho2[, rho3], as
-    ``csv.writer`` lays them out (CRLF line ends)."""
+    """Raw design variables per element: id, rho1, rho2[, rho3]."""
     m = design.n_variables
-    header = ",".join(["element", *[f"rho{j + 1}" for j in range(m)]])
-    # the element number goes through %d as an exact float
-    rows = np.column_stack([np.arange(design.n_elements), design.raw])
-    with open(path, "w", newline="") as handle:
-        handle.write(header + "\r\n"
-                     + _lines(",".join(["%d"] + ["%.17g"] * m), rows, "\r\n")
-                     + "\r\n")
+    _write_csv(path, ["element", *[f"rho{j + 1}" for j in range(m)]],
+               ",".join(["%d"] + ["%.17g"] * m),
+               np.column_stack([np.arange(design.n_elements), design.raw]))
 
 
 def write_vtk_polydata(path, mesh, design, pressure=None, displacement=None):

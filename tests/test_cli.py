@@ -101,7 +101,6 @@ class TestValidate:
         ("filter", "radius_abs", "-0.01"),
         ("flow", "drainage_solid", "-1"),
         ("flow", "step_eta", "1.5"),
-        ("flow", "void_coefficient", "0"),
         ("flow", "drain_beta", "-2"),
         ("flow", "drainage_remainder", "2"),
         ("flow", "drainage_depth", "0"),
@@ -121,6 +120,40 @@ class TestValidate:
         assert main(["run", "--config", str(path),
                      "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "solver error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("[supports]", "[supports]\nroller_x = left:0.0:1.0",
+         "[supports] roller_x"),
+        ("[supports]", "[supports]\nroller_y = bottom:0.4:0.6",
+         "[supports] roller_y"),
+        ("[optimizer]", "[flow]\nvoid_coefficient = 1.0\n\n[optimizer]",
+         "[flow] void_coefficient"),
+    ], ids=["roller_x", "roller_y", "void_coefficient"])
+    def test_removed_option_rejected(self, tmp_path, capsys, old, new, named):
+        # a roller is ``fixed = edge:lo:hi:x|y``; the void flow coefficient
+        # cannot change a run
+        path = tmp_path / "old.cfg"
+        path.write_text(TINY_CONFIG.replace(old, new))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, first, second", [
+        ("filter", "radius_elements = 3.0", "radius_abs = 0.01"),
+        ("flow", "drainage_solid = 5", "drainage_remainder = 0.5"),
+        ("flow", "drainage_solid = 5", "drainage_depth = 4"),
+    ], ids=["radius", "drainage_remainder", "drainage_depth"])
+    def test_alternatives_set_together_rejected(self, tmp_path, capsys,
+                                                section, first, second):
+        path = tmp_path / "both.cfg"
+        path.write_text(TINY_CONFIG + f"\n[{section}]\n{first}\n{second}\n")
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        for option in (first, second):
+            assert f"[{section}] {option.split(' =')[0]}" in err
+        # either one alone is accepted
+        for option in (first, second):
+            path.write_text(TINY_CONFIG + f"\n[{section}]\n{option}\n")
+            assert main(["validate", "--config", str(path)]) == EXIT_OK
 
     @pytest.mark.parametrize("inlet, outlet, named", [
         ("top", "top", "'top'"),
@@ -195,6 +228,9 @@ class TestValidate:
         assert piston.volume_fractions == (0.1, 0.1, 0.05)
         assert piston.filter_radius == pytest.approx(
             3.6 * np.sqrt(3) * 0.12 / 180)
+        # clamped outer rim, rollers (u_x = 0) on the symmetry cut
+        assert piston.supports == (SupportSpec("right", 0.0, 1.0, "both"),
+                                   SupportSpec("left", 0.0, 1.0, "x"))
 
 
 class TestRun:

@@ -111,6 +111,35 @@ class TestFlowCoefficients:
         assert np.all(k == params.k_void)
         assert np.all(dk == 0.0) and np.all(dd == 0.0) and np.all(d == 0.0)
 
+    def test_matches_step_formula_bitwise(self):
+        # the step and slope written out as two separate formulas
+        x = np.linspace(0.0, 1.0, 201)
+        beta, eta = 10.0, 0.2
+        denom = np.tanh(beta * eta) + np.tanh(beta * (1.0 - eta))
+        h = (np.tanh(beta * eta) + np.tanh(beta * (x - eta))) / denom
+        dh = beta / (np.cosh(beta * (x - eta)) ** 2 * denom)
+        params = FlowParams(d_solid=3.0)
+        k, dk = flow_coefficient(x, params)
+        assert np.array_equal(k, params.k_void
+                              * (1.0 - (1.0 - params.epsilon) * h))
+        assert np.array_equal(dk, -params.k_void * (1.0 - params.epsilon) * dh)
+        d, dd = drainage_coefficient(x, params)
+        assert np.array_equal(d, 3.0 * h)
+        assert np.array_equal(dd, 3.0 * dh)
+        assert np.array_equal(smooth_heaviside(x, beta, eta), h)
+
+    @pytest.mark.parametrize("beta", [450.0, 900.0, 1000.0])
+    def test_steep_step_has_finite_slope(self, beta):
+        # cosh(beta (x - eta))^2 overflows near x = 1 for these slopes; a
+        # RuntimeWarning is an error in this suite
+        params = FlowParams(beta_k=beta, beta_d=beta, d_solid=2.0)
+        x = np.linspace(0.0, 1.0, 101)
+        for func in (flow_coefficient, drainage_coefficient):
+            value, slope = func(x, params)
+            assert np.isfinite(value).all() and np.isfinite(slope).all()
+            assert slope[-1] == 0.0
+            assert np.abs(slope).max() > 0.0
+
     def test_invalid_params(self):
         with pytest.raises(InvalidArgumentError):
             FlowParams(epsilon=1.5)

@@ -156,6 +156,24 @@ class TestRunOptimization:
         with pytest.raises(SolverError, match="iteration 3"):
             driver.run_optimization(cfg)
 
+    def test_final_analysis_error_tagged(self, monkeypatch):
+        from presstopo.errors import SolverError
+
+        cfg = arch_config(nex=6, ney=4, max_iterations=3)
+        real_analyze = driver.analyze
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == cfg.max_iterations + 1:
+                raise SolverError("synthetic failure")
+            return real_analyze(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "analyze", flaky)
+        with pytest.raises(SolverError, match="^final analysis after 3 "
+                                              "iterations: synthetic failure$"):
+            driver.run_optimization(cfg)
+
 
 class TestStateLifetime:
     def test_previous_state_freed_before_next_analysis(self, monkeypatch):
@@ -207,7 +225,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name", [
         "lx", "ly", "thickness", "nu", "simp_penalty", "flow_contrast",
         "flow_eta", "flow_beta", "drain_eta", "drain_beta",
-        "void_flow_coefficient", "drainage_solid", "drainage_remainder",
+        "drainage_solid", "drainage_remainder",
         "drainage_depth_elements", "filter_radius_elements",
         "filter_radius_abs", "move_limit", "step_tolerance"])
     def test_non_finite_field_rejected(self, name, value):

@@ -10,6 +10,7 @@ from presstopo.fields import material_phase_densities
 from presstopo.outputs import (
     _VOID_COLOR,
     _material_colors,
+    write_convergence_csv,
     write_design_csv,
     write_material_svg,
     write_outputs,
@@ -80,13 +81,12 @@ class TestConvergenceCsv:
         cfg = arch_config(nex=5, ney=4, max_iterations=0)
         result = driver.run_optimization(cfg)
         path = tmp_path / "convergence.csv"
-        result.log.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines == ["iter,compliance,g1,g2,max_dx"]
+        write_convergence_csv(path, result.log)
+        assert path.read_bytes() == b"iter,compliance,g1,g2,max_dx\r\n"
 
     def test_rows_match_records(self, small_result, tmp_path):
         path = tmp_path / "convergence.csv"
-        small_result.log.write_csv(path)
+        write_convergence_csv(path, small_result.log)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + len(small_result.log.records)
         first = lines[1].split(",")
@@ -209,6 +209,18 @@ def reference_design_csv(path, design):
             writer.writerow([e, *[f"{v:.17g}" for v in design.raw[e]]])
 
 
+def reference_convergence_csv(path, log):
+    """``convergence.csv`` by ``csv.writer``, one f-string per value."""
+    gs = [f"g{j + 1}" for j in range(log.n_constraints)]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["iter", "compliance", *gs, "max_dx"])
+        for r in log.records:
+            writer.writerow([r.iteration, *[
+                f"{v:.12g}" for v in (r.compliance, *r.volume_measures,
+                                      r.max_design_change)]])
+
+
 def reference_vtk_blocks(mesh, design, pressure, displacement):
     """The number lines of ``write_vtk_polydata``, one f-string per value."""
     phases = material_phase_densities(design.filtered, design.n_variables)
@@ -284,6 +296,18 @@ class TestBulkFormatting:
             == (tmp_path / "r.csv").read_bytes()
         assert np.array_equal(np.loadtxt(tmp_path / "d.csv", delimiter=",",
                                          skiprows=1)[:, 1:], design.raw)
+
+        log = driver.RunLog(n_constraints=3)
+        for it in range(1, 13):
+            values = rng.uniform(0.0, 1.0, 5) * 10.0 ** rng.integers(-9, 9, 5)
+            log.append(driver.IterationRecord(
+                iteration=it, compliance=float(values[0]),
+                volume_measures=tuple(values[1:4]),
+                max_design_change=float(values[4])))
+        write_convergence_csv(tmp_path / "c.csv", log)
+        reference_convergence_csv(tmp_path / "rc.csv", log)
+        assert (tmp_path / "c.csv").read_bytes() \
+            == (tmp_path / "rc.csv").read_bytes()
 
         write_vtk_polydata(tmp_path / "v.vtk", mesh, design, p, u)
         want = reference_vtk_blocks(mesh, design, p, u)
