@@ -32,9 +32,9 @@ def compliance_sensitivity(mesh, materials, flow_params, state, filt,
     """Gradient of compliance w.r.t. all raw design variables, (n_elements, m).
 
     ``state`` is the ``ElasticState`` returned by ``driver.analyze``; the
-    design, the displacements, the pressure field and the pressure
-    factorization are all read from it.  ``include_load_term=False`` drops
-    the flow-adjoint contribution, for diagnostics only.
+    design with its thickness, the displacements, the pressure field and the
+    pressure factorization are all read from it.  ``include_load_term=False``
+    drops the flow-adjoint contribution, for diagnostics only.
     """
     design, pressure = state.design, state.pressure
     data = mesh_integrals(mesh)
@@ -42,7 +42,7 @@ def compliance_sensitivity(mesh, materials, flow_params, state, filt,
     p_e = pressure.p[data.conn]
 
     # -u^T dK u: element strain energies against unit-modulus stiffness
-    k0 = data.stiffness(materials.nu, materials.thickness)
+    k0 = data.stiffness(materials.nu, design.thickness)
     uku = np.einsum("ei,ij,ej->e", u_e, k0, u_e)
     de = modulus_derivatives(design.filtered, materials)
     d_filtered = -de * uku[:, None]

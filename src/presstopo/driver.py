@@ -33,7 +33,6 @@ class RunLog:
 
     records: list = field(default_factory=list)
     wall_time: float = 0.0
-    n_constraints: int = 2
 
     def append(self, record):
         if not np.isfinite(record.compliance) or record.compliance < 0:
@@ -118,12 +117,8 @@ def read_design_csv(path, n_elements, n_variables):
 
 
 def make_design(raw, filt, mesh, materials):
-    filtered = filt.apply(raw)
-    volumes = mesh.element_areas() * materials.thickness
-    return fields.DesignField(
-        raw=raw, filtered=filtered, element_volumes=volumes,
-        thickness=materials.thickness,
-    )
+    t = materials.thickness
+    return fields.DesignField(raw, filt.apply(raw), mesh.element_areas() * t, t)
 
 
 def analyze(design, mesh, materials, flow, fixed_dofs, pressure_bc):
@@ -163,7 +158,7 @@ def run_optimization(config, progress=None):
     dg = np.stack([grad.ravel(order="F") for grad in dg_list])
 
     objective_scale = None
-    log = RunLog(n_constraints=m)
+    log = RunLog()
 
     for it in range(1, config.max_iterations + 1):
         try:

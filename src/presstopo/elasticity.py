@@ -58,12 +58,12 @@ def element_stiffness(element_vertices, e_modulus, nu, thickness):
 
 
 def assemble_stiffness(mesh, design, materials):
-    """Global stiffness with per-element modulus from the SIMP interpolation."""
+    """Global stiffness with per-element modulus from the SIMP interpolation,
+    at the thickness of ``design``, as the loads of ``assemble_flow``."""
     data = mesh_integrals(mesh)
     e_elem = interpolate_modulus(design.filtered, materials)
     return data.stiffness_pattern.assemble(
-        e_elem[:, None, None] * data.stiffness(materials.nu,
-                                               materials.thickness))
+        e_elem[:, None, None] * data.stiffness(materials.nu, design.thickness))
 
 
 def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):

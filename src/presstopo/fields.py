@@ -19,7 +19,7 @@ element volume: all honeycomb elements have the same area, so it would cancel.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,7 +45,8 @@ class MaterialSet:
     """Candidate materials sharing Poisson's ratio; only E is interpolated.
 
     ``e_moduli`` must be strictly positive and ascending; the void modulus is
-    pinned at 1e-6 times the softest candidate.
+    pinned at 1e-6 times the softest candidate.  ``driver.make_design``
+    copies ``thickness`` into the ``DesignField`` that the analysis reads.
     """
 
     e_moduli: tuple
@@ -162,17 +163,18 @@ def build_filter(mesh, r_fill) -> FilterOperator:
 
 @dataclass
 class DesignField:
-    """Raw and filtered design variables plus element volumes.
+    """Raw and filtered design variables, element volumes and thickness.
 
     ``raw`` and ``filtered`` are (n_elements, m) with m design variables per
     element (one per candidate material); volumes are element area times the
-    out-of-plane thickness, and both must be positive and finite.
+    out-of-plane ``thickness``, the one that the loads, the stiffness and its
+    sensitivity are built with.  Both must be positive and finite.
     """
 
     raw: np.ndarray
     filtered: np.ndarray
     element_volumes: np.ndarray
-    thickness: float = field(default=1.0)
+    thickness: float
 
     def __post_init__(self):
         self.raw = np.atleast_2d(np.asarray(self.raw, dtype=float))

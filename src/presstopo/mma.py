@@ -37,7 +37,6 @@ class MmaState:
 
     n_variables: int
     move_limit: float = 0.1
-    iteration: int = 0
     lower_asymptotes: np.ndarray | None = None
     upper_asymptotes: np.ndarray | None = None
     x_prev: np.ndarray | None = None
@@ -82,8 +81,7 @@ def mma_update(x, f0, df0, g, dg, state: MmaState):
                 "gradient; the subproblem is infeasible"
             )
 
-    it = state.iteration + 1
-    if it <= 2 or state.x_prev is None or state.x_prev2 is None:
+    if state.x_prev2 is None:
         low = x - _ASYMPTOTE_INIT
         upp = x + _ASYMPTOTE_INIT
     else:
@@ -125,7 +123,6 @@ def mma_update(x, f0, df0, g, dg, state: MmaState):
     state.upper_asymptotes = upp
     state.x_prev2 = state.x_prev
     state.x_prev = x.copy()
-    state.iteration = it
     return x_new
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PresstopoError
+from .errors import InvalidArgumentError, PresstopoError
 from .fields import material_phase_densities
 
 _VOID_COLOR = "#ffffff"
@@ -37,7 +37,7 @@ def write_outputs(result, output_dir):
         out.mkdir(parents=True, exist_ok=True)
         written = []
         path = out / "convergence.csv"
-        write_convergence_csv(path, result.log)
+        write_convergence_csv(path, result.log, result.design.n_variables)
         written.append(path)
         path = out / "design.csv"
         write_design_csv(path, result.design)
@@ -71,9 +71,14 @@ def _write_csv(path, names, template, rows):
                           + _lines(template + "\r\n", rows, ""), newline="")
 
 
-def write_convergence_csv(path, log):
-    """One row per iteration: iter, compliance, g1..gm, max_dx."""
-    m = log.n_constraints
+def write_convergence_csv(path, log, m):
+    """One row per iteration: iter, compliance, g1..gm, max_dx; a record
+    with other than ``m`` volume measures raises ``InvalidArgumentError``."""
+    for r in log.records:
+        if len(r.volume_measures) != m:
+            raise InvalidArgumentError(
+                f"iteration {r.iteration} has {len(r.volume_measures)} "
+                f"volume measures, not {m}")
     rows = np.array([[r.iteration, r.compliance, *r.volume_measures,
                       r.max_design_change] for r in log.records])
     _write_csv(path, ["iter", "compliance", *[f"g{j + 1}" for j in range(m)],

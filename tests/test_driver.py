@@ -2,8 +2,12 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from presstopo import ConfigError, volume_measures
+from presstopo import (ConfigError, DesignField, FlowParams, MaterialSet,
+                       build_filter, compliance_sensitivity, generate_mesh,
+                       volume_measures)
 from presstopo import driver
 from presstopo.config import SupportSpec
 
@@ -173,6 +177,46 @@ class TestRunOptimization:
         with pytest.raises(SolverError, match="^final analysis after 3 "
                                               "iterations: synthetic failure$"):
             driver.run_optimization(cfg)
+
+
+class TestSectionThickness:
+    """Loads, stiffness and the gradient all take the design's thickness."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(nex=st.integers(2, 8), ney=st.integers(2, 6),
+           domain=st.sampled_from([(0.12, 0.04), (0.2, 0.1)]),
+           seed=st.integers(0, 2**32 - 1),
+           thickness=st.floats(1e-4, 1.0))
+    def test_analysis_scales_with_design_thickness(self, nex, ney, domain,
+                                                   seed, thickness):
+        mesh = generate_mesh(nex, ney, *domain)
+        materials = MaterialSet(e_moduli=(40e6, 100e6), thickness=1e-3)
+        flow = FlowParams(d_solid=0.5)
+        fixed = driver.support_dofs(mesh, (SupportSpec("bottom", 0.0, 1.0),))
+        filt = build_filter(mesh, 1.5 * mesh.Lx / nex)
+        raw = np.random.default_rng(seed).uniform(0.0, 1.0,
+                                                  (mesh.n_elements, 2))
+
+        def analyze(t):
+            design = DesignField(raw, filt.apply(raw),
+                                 mesh.element_areas() * t, t)
+            state = driver.analyze(design, mesh, materials, flow, fixed,
+                                   {"top": 1e5, "bottom": 0.0})
+            return state, compliance_sensitivity(mesh, materials, flow,
+                                                 state, filt)
+
+        (ref, dc_ref), (got, dc) = analyze(1e-3), analyze(thickness)
+        scale = thickness / 1e-3
+
+        def close(a, b):
+            return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+        assert close(got.pressure.p, ref.pressure.p)
+        assert close(got.u, ref.u)
+        assert close(got.F, scale * ref.F)
+        assert got.compliance == pytest.approx(scale * ref.compliance,
+                                               rel=1e-12)
+        assert close(dc, scale * dc_ref)
 
 
 class TestStateLifetime:

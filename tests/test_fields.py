@@ -162,7 +162,7 @@ class TestDesignField:
         raw[3, column] = np.nan
         with pytest.raises(InvalidArgumentError, match="finite"):
             DesignField(raw=raw, filtered=filt.apply(raw),
-                        element_volumes=mesh.element_areas())
+                        element_volumes=mesh.element_areas(), thickness=1e-3)
 
     @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
     def test_bad_volume_rejected(self, mesh, value):
@@ -170,7 +170,8 @@ class TestDesignField:
         volumes = mesh.element_areas()
         volumes[3] = value
         with pytest.raises(InvalidArgumentError, match="volume"):
-            DesignField(raw=raw, filtered=raw, element_volumes=volumes)
+            DesignField(raw=raw, filtered=raw, element_volumes=volumes,
+                        thickness=1e-3)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
     def test_bad_thickness_rejected(self, mesh, value):
@@ -178,6 +179,12 @@ class TestDesignField:
         with pytest.raises(InvalidArgumentError, match="thickness"):
             DesignField(raw=raw, filtered=raw,
                         element_volumes=mesh.element_areas(), thickness=value)
+
+    def test_thickness_required(self, mesh):
+        raw = np.full((mesh.n_elements, 2), 0.5)
+        with pytest.raises(TypeError, match="thickness"):
+            DesignField(raw=raw, filtered=raw,
+                        element_volumes=mesh.element_areas())
 
 
 class TestMaterialSet:

@@ -136,7 +136,26 @@ class TestContracts:
             args[bad].flat[0] = np.inf
         with pytest.raises(InvalidArgumentError, match="finite"):
             mma_update(np.full(n, 0.5), state=state, **args)
-        assert state.iteration == 0
+        assert state.x_prev is None and state.lower_asymptotes is None
+
+    def test_state_rebuilt_from_iterates_takes_the_same_step(self):
+        n = 12
+        target = np.random.default_rng(3).uniform(0.0, 1.0, n)
+        dg = np.full((1, n), 1.0 / n)
+
+        def step(x, state):
+            return mma_update(x, ((x - target) ** 2).sum(), 2 * (x - target),
+                              np.array([x.mean() - 0.4]), dg, state)
+
+        state = MmaState.for_variables(n)
+        x = np.full(n, 0.5)
+        for _ in range(4):
+            x = step(x, state)
+        rebuilt = MmaState(
+            n, lower_asymptotes=state.lower_asymptotes,
+            upper_asymptotes=state.upper_asymptotes, x_prev=state.x_prev,
+            x_prev2=state.x_prev2, _dual_warm=state._dual_warm)
+        assert np.array_equal(step(x, rebuilt), step(x, state))
 
     def test_dimension_mismatch_rejected(self):
         state = MmaState.for_variables(5)

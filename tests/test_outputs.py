@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from presstopo import driver
+from presstopo import InvalidArgumentError, driver
 from presstopo.fields import material_phase_densities
 from presstopo.outputs import (
     _VOID_COLOR,
@@ -81,18 +81,34 @@ class TestConvergenceCsv:
         cfg = arch_config(nex=5, ney=4, max_iterations=0)
         result = driver.run_optimization(cfg)
         path = tmp_path / "convergence.csv"
-        write_convergence_csv(path, result.log)
+        write_convergence_csv(path, result.log, result.design.n_variables)
         assert path.read_bytes() == b"iter,compliance,g1,g2,max_dx\r\n"
 
     def test_rows_match_records(self, small_result, tmp_path):
         path = tmp_path / "convergence.csv"
-        write_convergence_csv(path, small_result.log)
+        write_convergence_csv(path, small_result.log,
+                              small_result.design.n_variables)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + len(small_result.log.records)
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == pytest.approx(
             small_result.log.records[0].compliance, rel=1e-11)
+
+    @pytest.mark.parametrize("fourth, m, first_bad", [
+        ((0.1, 0.2, 0.3), 2, "iteration 1 has 3 volume measures, not 2"),
+        ((0.1, 0.2), 3, "iteration 4 has 2 volume measures, not 3"),
+    ])
+    def test_mismatched_record_rejected(self, tmp_path, fourth, m, first_bad):
+        log = driver.RunLog()
+        for it in range(1, 6):
+            log.append(driver.IterationRecord(
+                iteration=it, compliance=1.0, max_design_change=0.01,
+                volume_measures=fourth if it == 4 else (0.1, 0.2, 0.3)))
+        path = tmp_path / "convergence.csv"
+        with pytest.raises(InvalidArgumentError, match=f"^{first_bad}$"):
+            write_convergence_csv(path, log, m)
+        assert not path.exists()
 
 
 class TestVtk:
@@ -209,9 +225,9 @@ def reference_design_csv(path, design):
             writer.writerow([e, *[f"{v:.17g}" for v in design.raw[e]]])
 
 
-def reference_convergence_csv(path, log):
+def reference_convergence_csv(path, log, m):
     """``convergence.csv`` by ``csv.writer``, one f-string per value."""
-    gs = [f"g{j + 1}" for j in range(log.n_constraints)]
+    gs = [f"g{j + 1}" for j in range(m)]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["iter", "compliance", *gs, "max_dx"])
@@ -297,15 +313,15 @@ class TestBulkFormatting:
         assert np.array_equal(np.loadtxt(tmp_path / "d.csv", delimiter=",",
                                          skiprows=1)[:, 1:], design.raw)
 
-        log = driver.RunLog(n_constraints=3)
+        log = driver.RunLog()
         for it in range(1, 13):
             values = rng.uniform(0.0, 1.0, 5) * 10.0 ** rng.integers(-9, 9, 5)
             log.append(driver.IterationRecord(
                 iteration=it, compliance=float(values[0]),
                 volume_measures=tuple(values[1:4]),
                 max_design_change=float(values[4])))
-        write_convergence_csv(tmp_path / "c.csv", log)
-        reference_convergence_csv(tmp_path / "rc.csv", log)
+        write_convergence_csv(tmp_path / "c.csv", log, 3)
+        reference_convergence_csv(tmp_path / "rc.csv", log, 3)
         assert (tmp_path / "c.csv").read_bytes() \
             == (tmp_path / "rc.csv").read_bytes()
 
