@@ -33,8 +33,10 @@ nodes into the fronts of a multifrontal Cholesky factor (Duff & Reid 1983;
 Liu 1992): each separator is one front, and so is each box of at most
 ``2**_LEAF_BITS`` elements.  Each square pattern builds the symbolic part of
 that factor once, over all its unknowns (``Pattern.tree``, an
-``EliminationTree``), and ``MixedCholesky`` factors M on it (``Cholesky``,
-from LAPACK's ``potrf``, ``trtri`` and BLAS ``trsm`` and ``syrk``): in
+``EliminationTree``, which groups the fronts of each height of the tree
+into batches of like shape, each padded to its largest front), and
+``MixedCholesky`` factors M on it (``Cholesky``, from LAPACK's ``potrf``,
+``trtri`` and BLAS ``trsm`` and ``syrk``): in
 float32, with solutions refined in float64 (Langou et al. 2006; Carson &
 Higham 2018), and once in float64 by the same code as the fallback when
 that factorization meets a pivot that is not positive or refinement misses
@@ -46,6 +48,7 @@ elimination order: vectors go in and out in the pattern's numbering.
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -53,7 +56,7 @@ import scipy.sparse as sp
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import InvalidArgumentError
-from .honeymesh import _wachspress, hex_quadrature
+from .honeymesh import _VERTEX_OFFSETS, _wachspress, hex_quadrature
 
 # refinement steps after the first float32 solve of a right-hand side; the
 # residual usually stops halving well before this many
@@ -61,6 +64,12 @@ _MAX_STEPS = 10
 # every box of at most 2**_LEAF_BITS elements is one dense leaf front of the
 # Cholesky factor; 4, 5 and 6 were measured and 5 was fastest at 180x120
 _LEAF_BITS = 5
+# the fronts of one height are stored in batches, each padded to its largest
+# front; a front shape starts a new batch where that stores more than this
+# many fewer entries.  Solves were about as fast from 2**14 to 2**17 at 61x30
+# and 180x120, and 2**17 keeps 16x10 at one batch per height and adds one
+# batch to 61x30
+_BATCH_PAD = 2**17
 
 
 def element_quadrature(vertices):
@@ -106,6 +115,10 @@ def nested_dissection(conn, nex, ney):
     element (``below`` 0).  Sorting the nodes by the greatest path in their
     part (its prefix followed by 1s), then by ``below``, gives every box one
     run of ranks: its lower half, its upper half, then its separator.
+    Within its part, a node is ranked by its lattice coordinate along the
+    part's longer extent, x on a tie, then by its number; so a separator is
+    ranked along its cut, and the struct of each child front takes a few
+    runs of its parent's front (at most four on every mesh tested).
 
     The fronts number the parts in rank order, with every part of a box of
     at most ``2**_LEAF_BITS`` elements merged into that box: ``below`` is
@@ -129,7 +142,23 @@ def nested_dissection(conn, nex, ney):
     np.minimum.at(first, conn, path[:, None])
     np.maximum.at(last, conn, path[:, None])
     below = np.frexp(first ^ last)[1].astype(np.int64)  # bit length
-    order = np.lexsort((below, last | ((1 << below) - 1)))
+    # the parts in rank order, each ranking its nodes along its longer
+    # extent on the lattice, then by number; Mesh centres element (c, r) at
+    # (3c+2, 2r+1+(c&1))
+    _, part = np.unique(((last | ((1 << below) - 1)) << 6) | below,
+                        return_inverse=True)
+    point = np.empty((2, n), dtype=np.int64)
+    point[0, conn] = 3 * grid[:, :1] + 2 + _VERTEX_OFFSETS[:, 0]
+    point[1, conn] = (2 * grid[:, 1:] + 1 + (grid[:, :1] & 1)
+                      + _VERTEX_OFFSETS[:, 1])
+    low = np.full((2, part.max() + 1), point.max())
+    high = np.zeros_like(low)
+    for d in range(2):
+        np.minimum.at(low[d], part, point[d])
+        np.maximum.at(high[d], part, point[d])
+    longer = (high - low).argmax(axis=0)  # x on a tie
+    along = point[longer[part], np.arange(n)]
+    order = np.argsort((part * (point.max() + 1) + along) * n + np.arange(n))
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     # a front is a box: its level above the elements and its path prefix
@@ -153,7 +182,7 @@ class Pattern:
     pattern that is solved on gets ``node_order``, the rank of each node in
     the order its blocks are factored in and the front that eliminates it;
     DOF ``br * node + d`` takes ``rank`` ``br * node_rank[node] + d`` and its
-    node's ``front``.
+    node's ``front``.  ``slot`` is int32, one entry per element entry.
     """
 
     def __init__(self, node_ptr, node_cols, node_slot, block, node_order=None):
@@ -166,8 +195,8 @@ class Pattern:
             (np.arange(self.nnz).reshape(-1, br, bc), node_cols, node_ptr),
             shape=(br * n, bc * n),
         ).tocsr()
-        pos = np.empty(self.nnz, dtype=np.intp)
-        pos[csr.data] = np.arange(self.nnz)
+        pos = np.empty(self.nnz, dtype=np.int32)
+        pos[csr.data] = np.arange(self.nnz, dtype=np.int32)
         self.shape, self.indptr, self.indices = csr.shape, csr.indptr, csr.indices
         # element entry (br a + d, bc b + e) sits at pos[node_slot[., a, b], d, e]
         self.slot = pos.reshape(-1, br, bc)[node_slot].transpose(
@@ -261,22 +290,29 @@ class EliminationTree:
     triangle in elimination order, column by column, and ``rows`` and
     ``cols`` the unknowns of each.  ``fronts`` holds, per front in
     elimination order: its numbers of pivots and of struct unknowns; the
-    slice of ``gather`` that holds its own columns, and where each entry
-    goes in its dense pivot and L21 blocks; its children with their slices
-    (``_extend_add``); and its level and slot.  Fronts of one height in the
-    tree (leaves 0) do not depend on each other; ``levels`` lists, per
-    height, their pivots and structs padded to common sizes with the index
-    ``n``, for the batched triangular solves, in the pattern's numbering.
+    slice of ``gather`` that holds its own columns, and ``dst``, where each
+    of those entries goes in its dense pivot and L21 blocks; its children
+    with their slices (``_extend_add``); and its batch and its slot in it.
+
+    Fronts of one height in the tree (leaves 0) do not depend on each
+    other.  Each height's fronts, sorted by shape, are cut into ``batches``
+    (``_batches``), each holding its fronts' pivots and structs in the
+    pattern's numbering, padded to the batch's largest front with the index
+    ``n``, for the batched triangular solves.  ``heights`` holds, per
+    height, its slice of ``batches`` and one array of their structs, whose
+    views they are, so that the forward sweep adds a height's updates at
+    once.  The index arrays as long as the lower triangle, ``gather``,
+    ``rows`` and ``cols``, and each ``dst`` are int32.
     """
 
     def __init__(self, pattern):
         n = self.n = pattern.shape[0]
-        perm = np.argsort(pattern.rank)
+        perm = np.argsort(pattern.rank).astype(np.int32)
         front = pattern.front[perm]
         # each entry holds its slot + 1, so that no slot is a zero, in the
         # column of its rank; taking the rows in elimination order and tocsc,
         # a counting sort by column, give each column's rows sorted
-        csc = sp.csr_matrix((np.arange(1, pattern.nnz + 1),
+        csc = sp.csr_matrix((np.arange(1, pattern.nnz + 1, dtype=np.int32),
                              pattern.rank[pattern.indices], pattern.indptr),
                             shape=pattern.shape)[perm].tocsc()
         # nested_dissection numbers the fronts 0, 1, ... in elimination order
@@ -294,7 +330,7 @@ class EliminationTree:
         own_f, own_rows = np.divmod(np.unique(f[past] * n + row[past]), n)
         own_ptr = np.searchsorted(own_f, np.arange(n_fronts + 1))
 
-        self.fronts, structs, members = [], [], []
+        self.fronts, structs, members, height = [], [], [], []
         children = [[] for _ in range(n_fronts)]
         for s, (start, end) in enumerate(zip(bounds[:-1].tolist(),
                                              bounds[1:].tolist())):
@@ -308,30 +344,62 @@ class EliminationTree:
             lo, hi = entry_ptr[s], entry_ptr[s + 1]
             r, j = row[lo:hi], col[lo:hi] - start
             dst = np.where(r < end, r - start + p * j,
-                           p * p + np.searchsorted(struct, r) + struct.size * j)
-            h = max((self.fronts[c][5] + 1 for c in children[s]), default=0)
-            if h == len(members):
+                           p * p + np.searchsorted(struct, r)
+                           + struct.size * j).astype(np.int32)
+            height.append(max((height[c] + 1 for c in children[s]),
+                              default=0))
+            if height[s] == len(members):
                 members.append([])
-            self.fronts.append((p, struct.size, slice(lo, hi), dst, adds, h,
-                                len(members[h])))
-            members[h].append(s)
+            members[height[s]].append(s)
+            self.fronts.append((p, struct.size, slice(lo, hi), dst, adds))
             structs.append(struct)
             if struct.size:
                 children[front[struct[0]]].append(s)
 
-        self.levels = []
+        # each height's fronts, sorted by shape and cut into batches; the
+        # structs of a height's batches are views of one array
+        self.batches, self.heights = [], []
         for level in members:
-            p_max = max(self.fronts[s][0] for s in level)
-            u_max = max(self.fronts[s][1] for s in level)
-            piv = np.full((len(level), p_max), n)
-            upd = np.full((len(level), u_max), n)
-            for i, s in enumerate(level):
-                piv[i, :self.fronts[s][0]] = perm[bounds[s]:bounds[s + 1]]
-                upd[i, :self.fronts[s][1]] = perm[structs[s]]
-            self.levels.append((piv, upd))
+            level.sort(key=lambda s: self.fronts[s][:2])
+            cuts = _batches([self.fronts[s][:2] for s in level])
+            sizes = [(hi - lo) * u for lo, hi, _, u in cuts]
+            upd = np.full(sum(sizes), n)
+            self.heights.append((slice(len(self.batches),
+                                       len(self.batches) + len(cuts)), upd))
+            for (lo, hi, p, u), part in zip(
+                    cuts, np.split(upd, np.cumsum(sizes)[:-1])):
+                piv, part = np.full((hi - lo, p), n), part.reshape(hi - lo, u)
+                for i, s in enumerate(level[lo:hi]):
+                    pivots = perm[bounds[s]:bounds[s + 1]]
+                    piv[i, :pivots.size] = pivots
+                    part[i, :structs[s].size] = perm[structs[s]]
+                    self.fronts[s] += (len(self.batches), i)
+                self.batches.append((piv, part))
         _read_only(self.gather, self.rows, self.cols,
-                   *(a for level in self.levels for a in level),
+                   *(a for batch in self.batches for a in batch),
+                   *(upd for _, upd in self.heights),
                    *(entry[3] for entry in self.fronts))
+
+
+def _batches(shapes):
+    """Batches of the fronts of one height, whose (pivots, struct) counts
+    ``shapes`` come sorted: (start, stop, pivots, struct) each, the last two
+    the largest in the batch.  Each run of one shape joins the batch before
+    it unless keeping the two apart stores more than ``_BATCH_PAD`` fewer
+    entries."""
+    cuts = []
+    for (p, u), run in itertools.groupby(shapes):
+        m = len(list(run))
+        if cuts:
+            lo, hi, p0, u0 = cuts[-1]
+            k, p1, u1 = hi - lo, max(p0, p), max(u0, u)
+            if ((k + m) * p1 * (p1 + u1) - k * p0 * (p0 + u0)
+                    - m * p * (p + u) <= _BATCH_PAD):
+                cuts[-1] = (lo, hi + m, p1, u1)
+                continue
+        start = cuts[-1][1] if cuts else 0
+        cuts.append((start, start + m, p, u))
+    return cuts
 
 
 def _extend_add(pos, p):
@@ -359,33 +427,37 @@ class Cholesky:
     its children's update matrices, and calls ``potrf`` on its pivot block,
     ``trsm`` for the L21 block below it and ``syrk`` for its own update
     matrix.  The inverse of each pivot block (``trtri``) and each L21 are
-    stored in the padded arrays of the front's level, so a solve is two
-    batched products per level and sweep, and one ``np.bincount`` per level
-    that adds the forward sweep's updates.  ``nnz`` counts the stored
-    entries, padding included.  Raises ``np.linalg.LinAlgError`` when a
+    stored in the arrays of the front's batch, so a solve is two batched
+    products per batch and sweep, and one ``np.bincount`` per height that
+    adds the forward sweep's updates.  ``nnz`` counts the stored entries:
+    each front's square inverse pivot block and its L21, both padded to the
+    largest front of its batch.  Raises ``np.linalg.LinAlgError`` when a
     pivot block is not positive definite.
     """
 
     def __init__(self, tree, data, fixed, dtype):
         potrf, trtri = get_lapack_funcs(("potrf", "trtri"), dtype=dtype)
         trsm, syrk = get_blas_funcs(("trsm", "syrk"), dtype=dtype)
-        self.n, self.dtype = tree.n, dtype
-        # per level: the transposes of each front's inverse pivot block and
+        self.n, self.dtype, self.heights = tree.n, dtype, tree.heights
+        # per batch: the transposes of each front's inverse pivot block and
         # L21, zero-padded, stored row by row as LAPACK returns them
-        self.levels = [(piv, upd,
-                        np.zeros((piv.shape[0], piv.shape[1], piv.shape[1]),
-                                 dtype),
-                        np.zeros((piv.shape[0], piv.shape[1], upd.shape[1]),
-                                 dtype))
-                       for piv, upd in tree.levels]
-        self.nnz = sum(inv.size + l21.size for _, _, inv, l21 in self.levels)
-        values = data[tree.gather].astype(dtype)
-        cut = fixed[tree.rows] | fixed[tree.cols]
+        self.batches = [(piv, upd,
+                         np.zeros(piv.shape + piv.shape[1:], dtype),
+                         np.zeros(piv.shape + upd.shape[1:], dtype))
+                        for piv, upd in tree.batches]
+        self.nnz = sum(inv.size + l21.size
+                       for _, _, inv, l21 in self.batches)
+        # numpy indexes with intp: the int32 indices are cast first, which is
+        # faster than indexing with them
+        values = data[tree.gather.astype(np.intp)].astype(dtype)
+        cut = (fixed[tree.rows.astype(np.intp)]
+               | fixed[tree.cols.astype(np.intp)])
         values[cut] = tree.rows[cut] == tree.cols[cut]
         updates = {}
-        for s, (p, u, entries, dst, adds, level, i) in enumerate(tree.fronts):
+        for s, (p, u, entries, dst, adds, batch, i) in enumerate(
+                tree.fronts):
             buf = np.zeros(p * (p + u), dtype)
-            buf[dst] = values[entries]
+            buf[dst.astype(np.intp)] = values[entries]
             blocks = (buf[:p * p].reshape((p, p), order="F"),
                       buf[p * p:].reshape((u, p), order="F"),
                       np.zeros((u, u), dtype, order="F"))
@@ -397,7 +469,7 @@ class Cholesky:
             if info:
                 raise np.linalg.LinAlgError(
                     f"front {s} is not positive definite")
-            _, _, inv_t, l21_t = self.levels[level]
+            _, _, inv_t, l21_t = self.batches[batch]
             if u:
                 l21 = trsm(1.0, l11, blocks[1], side=1, lower=1, trans_a=1,
                            overwrite_b=1)
@@ -411,12 +483,15 @@ class Cholesky:
         it, and both are in the pattern's numbering."""
         x = np.zeros(self.n + 1, dtype=self.dtype)  # x[n] is the padding
         x[:-1] = b
-        for piv, upd, inv_t, l21_t in self.levels:
-            y = np.matmul(x[piv][:, None, :], inv_t)
-            x[piv] = y[:, 0, :]
-            x -= np.bincount(upd.ravel(), np.matmul(y, l21_t).ravel(),
+        for batches, upd in self.heights:
+            updates = []
+            for piv, _, inv_t, l21_t in self.batches[batches]:
+                y = np.matmul(x[piv][:, None, :], inv_t)
+                x[piv] = y[:, 0, :]
+                updates.append(np.matmul(y, l21_t).ravel())
+            x -= np.bincount(upd, np.concatenate(updates),
                              minlength=x.size).astype(x.dtype)
-        for piv, upd, inv_t, l21_t in reversed(self.levels):
+        for piv, upd, inv_t, l21_t in reversed(self.batches):
             z = x[piv] - np.matmul(l21_t, x[upd][:, :, None])[:, :, 0]
             x[piv] = np.matmul(inv_t, z[:, :, None])[:, :, 0]
         return x[:-1]

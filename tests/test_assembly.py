@@ -7,6 +7,7 @@ dense slicing.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -611,7 +612,7 @@ class TestRefinedSolve:
         factor = _element_data.Cholesky(pattern.tree, k.data, solver.fixed,
                                         np.float32)
         assert solver.nnz == factor.nnz == sum(
-            inv.size + l21.size for _, _, inv, l21 in factor.levels)
+            inv.size + l21.size for _, _, inv, l21 in factor.batches)
         # every nonzero of L is stored: the factored matrix is K with its
         # supports as unit pivots, in the elimination order
         unit = k.toarray()
@@ -656,6 +657,71 @@ class TestCholesky:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(factor_problems())
     def test_solves_agree_with_dense(self, problem):
+        self.check_solves(problem)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(factor_problems())
+    def test_solves_agree_with_dense_one_batch_per_shape(self, problem):
+        # with no padding allowed, every height holds one batch per front
+        # shape, so the forward sweep adds several batches' updates at once
+        with mock.patch.object(_element_data, "_BATCH_PAD", 0):
+            trees = self.check_solves(problem)
+        for tree in trees:
+            for p, u, *_, batch, i in tree.fronts:
+                piv, upd = tree.batches[batch]
+                assert (piv.shape[1], upd.shape[1]) == (p, u)
+            for batches, _ in tree.heights:
+                shapes = {(piv.shape[1], upd.shape[1])
+                          for piv, upd in tree.batches[batches]}
+                assert len(shapes) == batches.stop - batches.start
+
+    @pytest.mark.parametrize("nex, ney", FACTOR_MESHES + ((45, 30), (61, 30)))
+    def test_each_update_adds_in_at_most_four_runs(self, nex, ney):
+        # each separator is ranked along its cut, so a child's struct takes
+        # at most four runs of its parent's front: ten pairs of slices
+        data = mesh_integrals(generate_mesh(nex, ney, 0.1 * nex, 0.1 * ney))
+        for pattern in (data.flow_pattern, data.stiffness_pattern):
+            assert max((len(slices) for front in pattern.tree.fronts
+                        for _, slices in front[4]), default=0) <= 10
+
+    def test_index_arrays_are_int32_and_read_only(self):
+        data = mesh_integrals(generate_mesh(7, 5, 0.7, 0.5))
+        for pattern in (data.flow_pattern, data.stiffness_pattern):
+            tree = pattern.tree
+            for arr in (pattern.slot, tree.gather, tree.rows, tree.cols,
+                        *(front[3] for front in tree.fronts)):
+                assert arr.dtype == np.int32
+                assert not arr.flags.writeable
+
+    def test_paper_scale_factor_stores_its_fronts(self):
+        # level padding stored 28,287,416 entries for K and 7,071,854 for A
+        # on the piston's 180x120 mesh; L21 and the square inverse pivot
+        # blocks of the fronts need 16,180,440 and 4,045,110
+        cfg = load_config("piston-3mat")
+        mesh, filt, materials, flow, fixed = build_problem(cfg)
+        assert (mesh.nex, mesh.ney) == (180, 120)
+        design = make_design(initial_design(cfg, mesh), filt, mesh, materials)
+        data = mesh_integrals(mesh)
+        a = assemble_flow(mesh, design, flow)[0]
+        k = assemble_stiffness(mesh, design, materials)
+        dirichlet = np.concatenate([mesh.boundary_node_sets[edge]
+                                    for edge in cfg.pressure_bc])
+        for pattern, matrix, prescribed, need, bound in (
+                (data.stiffness_pattern, k, fixed, 16_180_440,
+                 0.70 * 28_287_416),
+                (data.flow_pattern, a, dirichlet, 4_045_110,
+                 0.75 * 7_071_854)):
+            tree = pattern.tree
+            assert sum(p * (p + u) for p, u, *_ in tree.fronts) == need
+            mask = np.zeros(matrix.shape[0], dtype=bool)
+            mask[prescribed] = True
+            factor = _element_data.Cholesky(tree, matrix.data, mask,
+                                            np.float32)
+            assert need <= factor.nnz <= bound
+
+    def check_solves(self, problem):
+        """The float64 factor, the refined solve and a Dirichlet solve of K
+        and A against dense solves; returns the trees."""
         mesh, design, fixed, edges, rng = problem
         data = mesh_integrals(mesh)
         dirichlet = rng.permutation(np.concatenate(
@@ -703,6 +769,7 @@ class TestCholesky:
             # the adjoint of the pressure reuses the solver: zero on the
             # Dirichlet nodes
             assert np.all(solver(b)[fixed] == 0.0)
+        return [data.stiffness_pattern.tree, data.flow_pattern.tree]
 
     def test_indefinite_stiffness_raises(self, monkeypatch):
         mesh = generate_mesh(12, 9, 1.2, 0.9)
