@@ -36,14 +36,15 @@ that factor once, over all its unknowns (``Pattern.tree``, an
 ``EliminationTree``, which groups the fronts of each height of the tree
 into batches of like shape, each padded to its largest front), and
 ``MixedCholesky`` factors M on it (``Cholesky``, from LAPACK's ``potrf``,
-``trtri`` and BLAS ``trsm`` and ``syrk``): in
-float32, with solutions refined in float64 (Langou et al. 2006; Carson &
-Higham 2018), and once in float64 by the same code as the fallback when
-that factorization meets a pivot that is not positive or refinement misses
-the caller's residual gate.  Either factor's solves go through one
-refinement loop, whose last ||c_f - M_ff x_f|| / ||c_f|| the displacement
-solve gates on (``MixedCholesky.residual``).  Only the tree knows the
-elimination order: vectors go in and out in the pattern's numbering.
+``trtri`` and BLAS ``trsm`` and ``syrk``; each triangular sweep is one loop
+over the batches): in float32, with solutions refined in float64 (Langou
+et al. 2006; Carson & Higham 2018), and once in float64 by the same code
+as the fallback when that factorization meets a pivot that is not positive
+or refinement misses the caller's residual gate.  Either factor's solves
+go through one refinement loop, whose last ||c_f - M_ff x_f|| / ||c_f||
+the displacement solve gates on (``MixedCholesky.residual``).  Only the
+tree knows the elimination order: vectors go in and out in the pattern's
+numbering.
 """
 
 from __future__ import annotations
@@ -296,13 +297,11 @@ class EliminationTree:
 
     Fronts of one height in the tree (leaves 0) do not depend on each
     other.  Each height's fronts, sorted by shape, are cut into ``batches``
-    (``_batches``), each holding its fronts' pivots and structs in the
-    pattern's numbering, padded to the batch's largest front with the index
-    ``n``, for the batched triangular solves.  ``heights`` holds, per
-    height, its slice of ``batches`` and one array of their structs, whose
-    views they are, so that the forward sweep adds a height's updates at
-    once.  The index arrays as long as the lower triangle, ``gather``,
-    ``rows`` and ``cols``, and each ``dst`` are int32.
+    (``_batches``), in order of height, each holding its fronts' pivots and
+    structs in the pattern's numbering, padded to the batch's largest front
+    with the index ``n``, for the batched triangular solves.  The index
+    arrays as long as the lower triangle, ``gather``, ``rows`` and
+    ``cols``, and each ``dst`` are int32.
     """
 
     def __init__(self, pattern):
@@ -356,28 +355,20 @@ class EliminationTree:
             if struct.size:
                 children[front[struct[0]]].append(s)
 
-        # each height's fronts, sorted by shape and cut into batches; the
-        # structs of a height's batches are views of one array
-        self.batches, self.heights = [], []
+        # each height's fronts, sorted by shape and cut into batches
+        self.batches = []
         for level in members:
             level.sort(key=lambda s: self.fronts[s][:2])
-            cuts = _batches([self.fronts[s][:2] for s in level])
-            sizes = [(hi - lo) * u for lo, hi, _, u in cuts]
-            upd = np.full(sum(sizes), n)
-            self.heights.append((slice(len(self.batches),
-                                       len(self.batches) + len(cuts)), upd))
-            for (lo, hi, p, u), part in zip(
-                    cuts, np.split(upd, np.cumsum(sizes)[:-1])):
-                piv, part = np.full((hi - lo, p), n), part.reshape(hi - lo, u)
+            for lo, hi, p, u in _batches([self.fronts[s][:2] for s in level]):
+                piv, upd = np.full((hi - lo, p), n), np.full((hi - lo, u), n)
                 for i, s in enumerate(level[lo:hi]):
                     pivots = perm[bounds[s]:bounds[s + 1]]
                     piv[i, :pivots.size] = pivots
-                    part[i, :structs[s].size] = perm[structs[s]]
+                    upd[i, :structs[s].size] = perm[structs[s]]
                     self.fronts[s] += (len(self.batches), i)
-                self.batches.append((piv, part))
+                self.batches.append((piv, upd))
         _read_only(self.gather, self.rows, self.cols,
                    *(a for batch in self.batches for a in batch),
-                   *(upd for _, upd in self.heights),
                    *(entry[3] for entry in self.fronts))
 
 
@@ -427,18 +418,19 @@ class Cholesky:
     its children's update matrices, and calls ``potrf`` on its pivot block,
     ``trsm`` for the L21 block below it and ``syrk`` for its own update
     matrix.  The inverse of each pivot block (``trtri``) and each L21 are
-    stored in the arrays of the front's batch, so a solve is two batched
-    products per batch and sweep, and one ``np.bincount`` per height that
-    adds the forward sweep's updates.  ``nnz`` counts the stored entries:
-    each front's square inverse pivot block and its L21, both padded to the
-    largest front of its batch.  Raises ``np.linalg.LinAlgError`` when a
-    pivot block is not positive definite.
+    stored in the arrays of the front's batch, so a solve is one loop over
+    the batches per sweep: two batched products each, and in the forward
+    sweep one ``np.subtract.at`` of the batch's updates into its structs.
+    ``nnz`` counts the stored entries: each front's square inverse pivot
+    block and its L21, both padded to the largest front of its batch.
+    Raises ``np.linalg.LinAlgError`` when a pivot block is not positive
+    definite.
     """
 
     def __init__(self, tree, data, fixed, dtype):
         potrf, trtri = get_lapack_funcs(("potrf", "trtri"), dtype=dtype)
         trsm, syrk = get_blas_funcs(("trsm", "syrk"), dtype=dtype)
-        self.n, self.dtype, self.heights = tree.n, dtype, tree.heights
+        self.n, self.dtype = tree.n, dtype
         # per batch: the transposes of each front's inverse pivot block and
         # L21, zero-padded, stored row by row as LAPACK returns them
         self.batches = [(piv, upd,
@@ -483,14 +475,12 @@ class Cholesky:
         it, and both are in the pattern's numbering."""
         x = np.zeros(self.n + 1, dtype=self.dtype)  # x[n] is the padding
         x[:-1] = b
-        for batches, upd in self.heights:
-            updates = []
-            for piv, _, inv_t, l21_t in self.batches[batches]:
-                y = np.matmul(x[piv][:, None, :], inv_t)
-                x[piv] = y[:, 0, :]
-                updates.append(np.matmul(y, l21_t).ravel())
-            x -= np.bincount(upd, np.concatenate(updates),
-                             minlength=x.size).astype(x.dtype)
+        for piv, upd, inv_t, l21_t in self.batches:
+            y = np.matmul(x[piv][:, None, :], inv_t)
+            x[piv] = y[:, 0, :]
+            # unbuffered: the fronts of a batch share struct unknowns and the
+            # padding; a 1-D index takes numpy's fast path
+            np.subtract.at(x, upd.ravel(), np.matmul(y, l21_t).ravel())
         for piv, upd, inv_t, l21_t in reversed(self.batches):
             z = x[piv] - np.matmul(l21_t, x[upd][:, :, None])[:, :, 0]
             x[piv] = np.matmul(inv_t, z[:, :, None])[:, :, 0]

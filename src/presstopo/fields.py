@@ -82,9 +82,8 @@ class FilterOperator:
     ``chain`` multiplies by ``H.T``, a CSC view of the same arrays.
     """
 
-    def __init__(self, matrix, r_fill):
+    def __init__(self, matrix):
         self.H = matrix.tocsr()
-        self.r_fill = float(r_fill)
 
     @property
     def n_elements(self):
@@ -158,7 +157,7 @@ def build_filter(mesh, r_fill) -> FilterOperator:
             "the density filter degenerates to the identity",
             stacklevel=2,
         )
-    return FilterOperator(h, r_fill)
+    return FilterOperator(h)
 
 
 @dataclass

@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presstopo import (
     compliance_sensitivity,
+    config,
     constraint_sensitivities,
     volume_measures,
 )
 from presstopo import driver
 from conftest import arch_config
+
+# the arch's two bottom patches (the default of arch_config), and the
+# piston's clamped right edge and x-roller on its left symmetry cut
+ASPECTS = {
+    "arch": {},
+    "piston": dict(lx=0.12, ly=0.04, supports=(
+        config.SupportSpec("right", 0.0, 1.0),
+        config.SupportSpec("left", 0.0, 1.0, "x"))),
+}
 
 
 def pipeline_compliance(raw, mesh, filt, materials, flow, fixed, bc):
@@ -29,6 +41,42 @@ def finite_difference(raw, h, mesh, filt, materials, flow, fixed, bc):
                                           fixed, bc)
             fd[e, j] = (c_plus - c_minus) / (2 * h)
     return fd
+
+
+def directional_error(cfg, raw, direction):
+    """Best relative error, over h in {1e-5, 1e-6, 1e-7}, of the central
+    difference of the compliance along ``direction`` against the adjoint
+    directional derivative at ``raw``."""
+    mesh, filt, materials, flow, fixed = driver.build_problem(cfg)
+    bc = cfg.pressure_bc
+    design = driver.make_design(raw, filt, mesh, materials)
+    estate = driver.analyze(design, mesh, materials, flow, fixed, bc)
+    grad = compliance_sensitivity(mesh, materials, flow, estate, filt)
+    analytic = (grad * direction).sum()
+    best = np.inf
+    for h in (1e-5, 1e-6, 1e-7):
+        c_plus = pipeline_compliance(np.clip(raw + h * direction, 0, 1), mesh,
+                                     filt, materials, flow, fixed, bc)
+        c_minus = pipeline_compliance(np.clip(raw - h * direction, 0, 1),
+                                      mesh, filt, materials, flow, fixed, bc)
+        fd = (c_plus - c_minus) / (2 * h)
+        best = min(best, abs(fd - analytic) / abs(analytic))
+    return best
+
+
+@st.composite
+def adjoint_problems(draw):
+    """An arch or piston aspect with 2 or 3 materials on 5-12 x 2-9
+    elements (under 5 columns the arch's patches leave its rotation free),
+    a raw design in [0.15, 0.85] and a direction."""
+    cfg = arch_config(nex=draw(st.integers(5, 12)),
+                      ney=draw(st.integers(2, 9)),
+                      n_materials=draw(st.sampled_from([2, 3])),
+                      **ASPECTS[draw(st.sampled_from(sorted(ASPECTS)))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.uniform(0.15, 0.85, size=(cfg.nex * cfg.ney, cfg.n_materials))
+    direction = rng.normal(size=raw.shape)
+    return cfg, raw, direction / np.abs(direction).max()
 
 
 def fd_resolvable(grad, compliance, h, rel_tol):
@@ -64,27 +112,16 @@ class TestComplianceSensitivity:
 
     def test_directional_derivative_h_sweep(self):
         cfg = arch_config(nex=5, ney=4)
-        mesh, filt, materials, flow, fixed = driver.build_problem(cfg)
         rng = np.random.default_rng(12)
-        raw = rng.uniform(0.2, 0.8, size=(mesh.n_elements, 2))
+        raw = rng.uniform(0.2, 0.8, size=(cfg.nex * cfg.ney, 2))
         direction = rng.normal(size=raw.shape)
         direction /= np.abs(direction).max()
-        design = driver.make_design(raw, filt, mesh, materials)
-        estate = driver.analyze(design, mesh, materials, flow, fixed,
-                                cfg.pressure_bc)
-        grad = compliance_sensitivity(mesh, materials, flow, estate, filt)
-        analytic = (grad * direction).sum()
-        best = np.inf
-        for h in (1e-5, 1e-6, 1e-7):
-            c_plus = pipeline_compliance(
-                np.clip(raw + h * direction, 0, 1), mesh, filt, materials,
-                flow, fixed, cfg.pressure_bc)
-            c_minus = pipeline_compliance(
-                np.clip(raw - h * direction, 0, 1), mesh, filt, materials,
-                flow, fixed, cfg.pressure_bc)
-            fd = (c_plus - c_minus) / (2 * h)
-            best = min(best, abs(fd - analytic) / abs(analytic))
-        assert best < 1e-4
+        assert directional_error(cfg, raw, direction) < 1e-4
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(adjoint_problems())
+    def test_directional_derivative_over_problems(self, problem):
+        assert directional_error(*problem) < 1e-4
 
     def test_design_independent_load_variant(self):
         # zero step slopes freeze the flow matrix; the load-term contribution

@@ -662,18 +662,23 @@ class TestCholesky:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(factor_problems())
     def test_solves_agree_with_dense_one_batch_per_shape(self, problem):
-        # with no padding allowed, every height holds one batch per front
-        # shape, so the forward sweep adds several batches' updates at once
+        # with no padding allowed, every batch holds one front shape, so a
+        # tree of more than one front has a height of several batches, whose
+        # updates the forward sweep scatters into shared unknowns in turn
         with mock.patch.object(_element_data, "_BATCH_PAD", 0):
             trees = self.check_solves(problem)
         for tree in trees:
-            for p, u, *_, batch, i in tree.fronts:
+            height, batch_height = [], {}
+            for p, u, _, _, adds, batch, i in tree.fronts:
                 piv, upd = tree.batches[batch]
                 assert (piv.shape[1], upd.shape[1]) == (p, u)
-            for batches, _ in tree.heights:
-                shapes = {(piv.shape[1], upd.shape[1])
-                          for piv, upd in tree.batches[batches]}
-                assert len(shapes) == batches.stop - batches.start
+                height.append(max((height[c] + 1 for c, _ in adds),
+                                  default=0))
+                assert batch_height.setdefault(batch, height[-1]) == height[-1]
+            heights = [batch_height[b] for b in range(len(tree.batches))]
+            assert heights == sorted(heights)
+            if len(tree.fronts) > 1:
+                assert max(np.bincount(heights)) > 1
 
     @pytest.mark.parametrize("nex, ney", FACTOR_MESHES + ((45, 30), (61, 30)))
     def test_each_update_adds_in_at_most_four_runs(self, nex, ney):
