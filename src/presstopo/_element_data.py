@@ -11,9 +11,12 @@ The honeycomb's connectivity never changes, so the CSR pattern of each
 global matrix and the slot of every element entry in its ``data`` are built
 once per mesh, on the first assembly (``MeshIntegrals.flow_pattern`` and
 ``stiffness_pattern``), after Andreassen et al. 2011 ("top88") and Ferrari &
-Sigmund 2020 ("top99neo").  An assembly is then one ``np.bincount`` into the
-fixed pattern.  The design-independent load transformation T is assembled
-once per thickness (``MeshIntegrals.load_matrix``).
+Sigmund 2020 ("top99neo").  The flow pattern, the node pairs that share an
+element, is the one node pattern: the stiffness pattern and the load
+transformation expand it to their DOFs.  An assembly is then one
+``np.bincount`` into the fixed pattern.  The design-independent load
+transformation T is assembled once per thickness
+(``MeshIntegrals.load_matrix``).
 
 Both solves prescribe values on some indices: the inlet and outlet
 pressures, and the supports.  ``Pattern.solve`` is the one Dirichlet solve
@@ -179,7 +182,10 @@ class Pattern:
     ``node_ptr`` and ``node_cols``, and ``node_slot`` (n_elements, 6, 6), the
     position of each element's node pair.  ``block=(br, bc)`` expands it to
     ``br`` interleaved DOFs per row node and ``bc`` per column node (DOF
-    ``br * node + d``), the layout of ``MeshIntegrals.udofs``.  A square
+    ``br * node + d``), the layout of ``MeshIntegrals.udofs``; with
+    ``block=(1, 1)`` the pattern is the node pattern itself, the flow
+    pattern, whose ``indptr``, ``indices`` and ``slot`` every other pattern
+    of the mesh is built from.  A square
     pattern that is solved on gets ``node_order``, the rank of each node in
     the order its blocks are factored in and the front that eliminates it;
     DOF ``br * node + d`` takes ``rank`` ``br * node_rank[node] + d`` and its
@@ -288,20 +294,25 @@ class EliminationTree:
     parent.
 
     ``gather`` holds the positions in the pattern's ``data`` of the lower
-    triangle in elimination order, column by column, and ``rows`` and
-    ``cols`` the unknowns of each.  ``fronts`` holds, per front in
+    triangle in elimination order, column by column with sorted rows, so
+    each column starts with its diagonal; ``rows`` holds the unknown of each
+    entry's row, and ``columns`` (n, 2) the run [start, stop) of ``gather``
+    that holds each unknown's column.  ``fronts`` holds, per front in
     elimination order: its numbers of pivots and of struct unknowns; the
     slice of ``gather`` that holds its own columns, and ``dst``, where each
     of those entries goes in its dense pivot and L21 blocks; its children
     with their slices (``_extend_add``); and its batch and its slot in it.
+    Fronts laid out alike (equal counts and ``dst``) share one ``dst``, and
+    children placed alike (equal positions in fronts of equal pivot counts)
+    share one tuple of slices, as multifrontal codes keep one assembly map
+    per front type (Liu 1992).
 
     Fronts of one height in the tree (leaves 0) do not depend on each
     other.  Each height's fronts, sorted by shape, are cut into ``batches``
     (``_batches``), in order of height, each holding its fronts' pivots and
     structs in the pattern's numbering, padded to the batch's largest front
-    with the index ``n``, for the batched triangular solves.  The index
-    arrays as long as the lower triangle, ``gather``, ``rows`` and
-    ``cols``, and each ``dst`` are int32.
+    with the index ``n``, for the batched triangular solves.  ``gather``,
+    ``rows``, ``columns`` and each ``dst`` are int32.
     """
 
     def __init__(self, pattern):
@@ -322,7 +333,10 @@ class EliminationTree:
         lower = np.flatnonzero(csc.indices >= col)
         row, col = csc.indices[lower], col[lower]
         self.gather = csc.data[lower] - 1
-        self.rows, self.cols = perm[row], perm[col]
+        self.rows = perm[row]
+        col_ptr = np.searchsorted(col, np.arange(n + 1))
+        self.columns = np.empty((n, 2), dtype=np.int32)
+        self.columns[perm] = np.column_stack([col_ptr[:-1], col_ptr[1:]])
         f = front[col]
         entry_ptr = np.searchsorted(f, np.arange(n_fronts + 1))
         past = row >= bounds[f + 1]
@@ -331,6 +345,8 @@ class EliminationTree:
 
         self.fronts, structs, members, height = [], [], [], []
         children = [[] for _ in range(n_fronts)]
+        # fronts laid out alike, and children placed alike, share one map
+        layouts, placements = {}, {}
         for s, (start, end) in enumerate(zip(bounds[:-1].tolist(),
                                              bounds[1:].tolist())):
             p = end - start
@@ -338,13 +354,19 @@ class EliminationTree:
                 [own_rows[own_ptr[s]:own_ptr[s + 1]]]
                 + [structs[c][structs[c] >= end] for c in children[s]]))
             index = np.concatenate([np.arange(start, end), struct])
-            adds = [(c, _extend_add(np.searchsorted(index, structs[c]), p))
-                    for c in children[s]]
+            adds = []
+            for c in children[s]:
+                pos = np.searchsorted(index, structs[c])
+                key = p, pos.tobytes()
+                if key not in placements:
+                    placements[key] = _extend_add(pos, p)
+                adds.append((c, placements[key]))
             lo, hi = entry_ptr[s], entry_ptr[s + 1]
             r, j = row[lo:hi], col[lo:hi] - start
             dst = np.where(r < end, r - start + p * j,
                            p * p + np.searchsorted(struct, r)
                            + struct.size * j).astype(np.int32)
+            dst = layouts.setdefault((p, struct.size, dst.tobytes()), dst)
             height.append(max((height[c] + 1 for c in children[s]),
                               default=0))
             if height[s] == len(members):
@@ -367,9 +389,9 @@ class EliminationTree:
                     upd[i, :structs[s].size] = perm[structs[s]]
                     self.fronts[s] += (len(self.batches), i)
                 self.batches.append((piv, upd))
-        _read_only(self.gather, self.rows, self.cols,
+        _read_only(self.gather, self.rows, self.columns,
                    *(a for batch in self.batches for a in batch),
-                   *(entry[3] for entry in self.fronts))
+                   *layouts.values())
 
 
 def _batches(shapes):
@@ -403,16 +425,18 @@ def _extend_add(pos, p):
     # first position in that block
     runs = [(a, b, int(at >= p), at - p * (at >= p)) for a, b, at in
             zip([0] + cut, cut + [pos.size], pos[[0] + cut].tolist())]
-    return [(in_a + in_b, slice(ra, ra + a1 - a0), slice(rb, rb + b1 - b0),
-             slice(a0, a1), slice(b0, b1))
-            for i, (a0, a1, in_a, ra) in enumerate(runs)
-            for b0, b1, in_b, rb in runs[:i + 1]]
+    return tuple((in_a + in_b, slice(ra, ra + a1 - a0),
+                  slice(rb, rb + b1 - b0), slice(a0, a1), slice(b0, b1))
+                 for i, (a0, a1, in_a, ra) in enumerate(runs)
+                 for b0, b1, in_b, rb in runs[:i + 1])
 
 
 class Cholesky:
     """Multifrontal Cholesky factor L L^T, in ``dtype``, of the matrix with
     ``data`` on the pattern of ``tree``, with the rows and columns of the
-    unknowns where the boolean ``fixed`` is set made unit pivots.
+    unknowns where the boolean ``fixed`` is set made unit pivots: their rows
+    are cut by ``tree.rows`` and each of their columns by its run of
+    ``gather``, whose first entry, the diagonal, is then set to one.
 
     Each front, in order, gathers its entries of the lower triangle, adds
     its children's update matrices, and calls ``potrf`` on its pivot block,
@@ -442,9 +466,11 @@ class Cholesky:
         # numpy indexes with intp: the int32 indices are cast first, which is
         # faster than indexing with them
         values = data[tree.gather.astype(np.intp)].astype(dtype)
-        cut = (fixed[tree.rows.astype(np.intp)]
-               | fixed[tree.cols.astype(np.intp)])
-        values[cut] = tree.rows[cut] == tree.cols[cut]
+        values[fixed[tree.rows.astype(np.intp)]] = 0
+        # a prescribed column is one run of gather, its diagonal first
+        for start, stop in tree.columns[fixed].tolist():
+            values[start:stop] = 0
+            values[start] = 1
         updates = {}
         for s, (p, u, entries, dst, adds, batch, i) in enumerate(
                 tree.fronts):
@@ -569,7 +595,9 @@ class MixedCholesky:
 
 class MeshIntegrals:
     """Template element matrices, element DOF maps and, built on first use,
-    the sparse patterns of one mesh; all their arrays are read-only."""
+    the sparse patterns of one mesh; all their arrays are read-only.  The
+    flow pattern is the node pattern that the stiffness pattern and each
+    load transformation are built from."""
 
     def __init__(self, mesh):
         self.weights, self.shape, self.grads = element_quadrature(
@@ -606,17 +634,6 @@ class MeshIntegrals:
         return k0
 
     @cached_property
-    def _node_pattern(self):
-        """CSR of the node pairs that share an element, and the position of
-        each element's (a, b) pair in it, (n_elements, 6, 6)."""
-        n = self.n_nodes
-        keys = (self.conn[:, :, None] * n + self.conn[:, None, :]).ravel()
-        pairs, slot = np.unique(keys, return_inverse=True)
-        node_ptr = np.searchsorted(pairs, np.arange(n + 1) * n)
-        return _read_only(node_ptr, pairs % n,
-                          slot.reshape(self.conn.shape + (6,)))
-
-    @cached_property
     def node_order(self):
         """Rank of each node in the mesh's nested-dissection order and the
         front that eliminates it, built once, with the first pattern that
@@ -625,14 +642,27 @@ class MeshIntegrals:
 
     @cached_property
     def flow_pattern(self) -> Pattern:
-        """Pattern of the (n_nodes, n_nodes) flow matrix A."""
-        return Pattern(*self._node_pattern, block=(1, 1),
+        """Pattern of the (n_nodes, n_nodes) flow matrix A: the node pairs
+        that share an element, which is the node pattern of every other
+        pattern."""
+        n = self.n_nodes
+        keys = (self.conn[:, :, None] * n + self.conn[:, None, :]).ravel()
+        pairs, slot = np.unique(keys, return_inverse=True)
+        return Pattern(np.searchsorted(pairs, np.arange(n + 1) * n), pairs % n,
+                       slot.reshape(self.conn.shape + (6,)), block=(1, 1),
                        node_order=self.node_order)
+
+    def _node_pattern(self):
+        """``node_ptr``, ``node_cols`` and ``node_slot`` of ``Pattern``,
+        read from the flow pattern."""
+        flow = self.flow_pattern
+        return flow.indptr, flow.indices, flow.slot.reshape(
+            self.conn.shape + (6,))
 
     @cached_property
     def stiffness_pattern(self) -> Pattern:
         """Pattern of the (2 n_nodes, 2 n_nodes) stiffness matrix K."""
-        return Pattern(*self._node_pattern, block=(2, 2),
+        return Pattern(*self._node_pattern(), block=(2, 2),
                        node_order=self.node_order)
 
     def load_matrix(self, thickness):
@@ -640,7 +670,7 @@ class MeshIntegrals:
         its arrays are read-only."""
         t = self._load_matrix.get(thickness)
         if t is None:
-            pattern = Pattern(*self._node_pattern, block=(2, 1))
+            pattern = Pattern(*self._node_pattern(), block=(2, 1))
             t = pattern.assemble(np.broadcast_to(
                 self.load(thickness), self.udofs.shape + (6,)))
             _read_only(t.data)

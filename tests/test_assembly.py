@@ -103,6 +103,17 @@ def node_parts(mesh):
     return part, {box for chain in chains for box in chain}
 
 
+def column_of_entries(tree):
+    """The unknown whose column holds each entry of ``tree.gather``, from
+    the column runs; the runs tile ``gather`` in elimination order."""
+    start, stop = tree.columns.T
+    order = np.argsort(start)
+    assert np.array_equal(start[order], np.r_[0, stop[order][:-1]])
+    assert stop[order][-1] == tree.gather.size
+    assert np.array_equal(tree.rows[start], np.arange(start.size))
+    return np.repeat(order, (stop - start)[order])
+
+
 def inside(a, b):
     """Box ``a`` lies in box ``b``."""
     return b[0] <= a[0] and a[1] <= b[1] and b[2] <= a[2] and a[3] <= b[3]
@@ -141,15 +152,16 @@ class TestScatterAssembly:
                                 (data.flow_pattern, a)):
             tree, n = pattern.tree, pattern.shape[0]
             assert tree.gather.size == (pattern.nnz + n) // 2
-            assert np.array_equal(pattern.indices[tree.gather], tree.cols)
+            cols = column_of_entries(tree)
+            assert np.array_equal(pattern.indices[tree.gather], cols)
             assert np.array_equal(
                 np.searchsorted(pattern.indptr, tree.gather, "right") - 1,
                 tree.rows)
-            row, col = pattern.rank[tree.rows], pattern.rank[tree.cols]
+            row, col = pattern.rank[tree.rows], pattern.rank[cols]
             assert np.all(row >= col)
             assert np.all(np.diff(col * n + row) > 0)
             assert np.array_equal(matrix.data[tree.gather],
-                                  matrix.toarray()[tree.rows, tree.cols])
+                                  matrix.toarray()[tree.rows, cols])
 
         # the values travel with their DOFs, in whatever order they come;
         # the bottom edge removes the rigid modes
@@ -183,7 +195,7 @@ class TestScatterAssembly:
         part, boxes = node_parts(mesh)
         # an edge joins two nodes of nested parts, so no edge joins the two
         # halves of a box
-        ptr, cols, _ = data._node_pattern
+        ptr, cols = data.flow_pattern.indptr, data.flow_pattern.indices
         rows = np.repeat(np.arange(mesh.n_nodes), np.diff(ptr))
         for u, v in zip(rows, cols):
             assert inside(part[u], part[v]) or inside(part[v], part[u])
@@ -218,8 +230,7 @@ class TestPatternsBuiltOnce:
     def test_lazy_and_shared_per_mesh(self):
         mesh = generate_mesh(5, 4, 1.0, 0.8)
         data = mesh_integrals(mesh)
-        built = ("_node_pattern", "node_order", "flow_pattern",
-                 "stiffness_pattern")
+        built = ("node_order", "flow_pattern", "stiffness_pattern")
         assert not any(name in vars(data) for name in built)
 
         design = make_uniform_design(mesh, [0.5, 0.5])
@@ -651,8 +662,101 @@ def factor_problems(draw):
     return mesh, design, fixed, edges, rng
 
 
+@st.composite
+def cut_problems(draw):
+    """A small arch- or piston-aspect mesh, a random design, and prescribed
+    nodes: none, one, or whole edges."""
+    lx, ly = draw(st.sampled_from(((0.2, 0.1), (0.12, 0.04))))
+    nex, ney = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    mesh = generate_mesh(nex, ney, lx * nex / 12, ly * ney / 8)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = make_uniform_design(mesh, [0.5, 0.5])
+    design.filtered = rng.uniform(0.0, 1.0, design.filtered.shape)
+    kind = draw(st.sampled_from(("empty", "one", "edges")))
+    if kind == "empty":
+        nodes = np.zeros(0, dtype=np.int64)
+    elif kind == "one":
+        nodes = rng.integers(mesh.n_nodes, size=1)
+    else:
+        edges = draw(st.lists(st.sampled_from(EDGES), min_size=1,
+                              max_size=4, unique=True))
+        nodes = np.unique(np.concatenate([mesh.boundary_node_sets[edge]
+                                          for edge in edges]))
+    return mesh, design, nodes, rng
+
+
 class TestCholesky:
     """The multifrontal factor on the nested-dissection fronts."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(cut_problems())
+    def test_cut_equals_explicit_unit_pivots(self, problem):
+        # factoring M with prescribed unknowns gives, bit for bit, the factor
+        # of M with their rows and columns zeroed and a unit diagonal
+        mesh, design, nodes, rng = problem
+        data = mesh_integrals(mesh)
+        # each DOF of a prescribed node is prescribed, or one of the two;
+        # one unknown is one DOF
+        dofs = np.concatenate([2 * nodes, 2 * nodes + 1])
+        if nodes.size == 1 or rng.random() < 0.5:
+            dofs = 2 * nodes + rng.integers(2, size=nodes.size)
+        for pattern, matrix, fixed in (
+                (data.stiffness_pattern, assemble_stiffness(mesh, design,
+                                                            MATS), dofs),
+                (data.flow_pattern, assemble_flow(mesh, design, FLOW)[0],
+                 nodes)):
+            n = pattern.shape[0]
+            rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+            cols = pattern.indices
+            # a shifted diagonal makes M positive definite with no unknown
+            # prescribed
+            values = matrix.data.copy()
+            values[rows == cols] += 1e-2 * matrix.diagonal().mean()
+            mask = np.zeros(n, dtype=bool)
+            mask[fixed] = True
+            unit = np.where(mask[rows] | mask[cols], 0.0, values)
+            unit[mask[rows] & (rows == cols)] = 1.0
+            for dtype in (np.float32, np.float64):
+                cut = _element_data.Cholesky(pattern.tree, values, mask,
+                                             dtype)
+                explicit = _element_data.Cholesky(
+                    pattern.tree, unit, np.zeros(n, dtype=bool), dtype)
+                assert cut.nnz == explicit.nnz
+                for got, want in zip(cut.batches, explicit.batches,
+                                     strict=True):
+                    for a, b in zip(got, want, strict=True):
+                        assert a.dtype == b.dtype
+                        assert np.array_equal(a, b)
+
+    def test_alike_fronts_share_maps_within_budget(self):
+        # equal placements of a child's update, and equal layouts of a
+        # front's entries, are one object each; the arrays reachable from
+        # the 45x30 piston's mesh held 4,665,272 bytes when it also kept an
+        # int64 node pattern, a column per tree entry and a map per front
+        mesh = generate_mesh(45, 30, 0.12, 0.04)
+        data = mesh_integrals(mesh)
+        for pattern in (data.flow_pattern, data.stiffness_pattern):
+            placements, layouts, n_adds = {}, {}, 0
+            for p, u, _, dst, adds, *_ in pattern.tree.fronts:
+                assert not dst.flags.writeable
+                layouts.setdefault((p, u, dst.tobytes()), set()).add(id(dst))
+                for _, slices in adds:
+                    assert isinstance(slices, tuple)
+                    key = p, tuple((block, *(i for s in ranges
+                                             for i in (s.start, s.stop)))
+                                   for block, *ranges in slices)
+                    placements.setdefault(key, set()).add(id(slices))
+                    n_adds += 1
+            assert all(len(ids) == 1 for ids in layouts.values())
+            assert all(len(ids) == 1 for ids in placements.values())
+            assert len(layouts) < len(pattern.tree.fronts)
+            assert len(placements) < n_adds
+        bases = {}
+        for arr in held_arrays(mesh):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            bases[id(arr)] = arr.nbytes
+        assert sum(bases.values()) <= 1.05 * 3_533_284
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(factor_problems())
@@ -693,7 +797,7 @@ class TestCholesky:
         data = mesh_integrals(generate_mesh(7, 5, 0.7, 0.5))
         for pattern in (data.flow_pattern, data.stiffness_pattern):
             tree = pattern.tree
-            for arr in (pattern.slot, tree.gather, tree.rows, tree.cols,
+            for arr in (pattern.slot, tree.gather, tree.rows, tree.columns,
                         *(front[3] for front in tree.fronts)):
                 assert arr.dtype == np.int32
                 assert not arr.flags.writeable
