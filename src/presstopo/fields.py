@@ -9,15 +9,19 @@ densities:
     three-phase  E = (1 - r1^p) Emin + r1^p ((1 - r2^p) E1 + r2^p E2)
     four-phase   E = ... + r1^p r2^p-nested selection of (E2, E3)
 
-All columns are smoothed by the same linear density filter H, a row-stochastic
-sparse matrix of conic weights over element centroids.  The centroids sit on
-an integer lattice, so H is one translation-invariant stencil of weights,
-clipped at the mesh's edges and normalised per row.  The weights carry no
-element volume: all honeycomb elements have the same area, so it would cancel.
+All columns are smoothed by the same linear density filter H = D^-1 W, a
+row-stochastic operator of conic weights over element centroids.  The
+centroids sit on an integer lattice, so W is one translation-invariant
+stencil of weights, clipped at the mesh's edges, and D holds its row sums.
+``FilterOperator`` applies it as a lattice correlation through ``numpy.fft``
+and builds the sparse matrix H only if something reads it.  The weights carry
+no element volume: all honeycomb elements have the same area, so it would
+cancel.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -77,33 +81,91 @@ class MaterialSet:
 
 
 class FilterOperator:
-    """Row-stochastic density filter H built once per mesh and radius.
+    """Row-stochastic density filter H = D^-1 W, applied as a lattice
+    correlation.
 
-    ``chain`` multiplies by ``H.T``, a CSC view of the same arrays.
+    ``dc``, ``dky`` and ``weight`` are ``build_filter``'s stencil: W weighs
+    the neighbour at dc columns and dky half-steps in y by the same weight
+    around every element, and D holds W's row sums, the stencil clipped at
+    the mesh's edges.  Element (c, r) sits at cell (c, 2r + (c & 1)) of a
+    zero grid that the stencil's reach pads, so the circular correlation of
+    ``numpy.fft`` never wraps onto an element; the design's columns are the
+    grid's leading axis.  The stencil is point-symmetric, so W is symmetric:
+    ``apply`` is W x / D and ``chain`` is H^T d = W (d / D).  A one-entry
+    stencil is applied as the identity, exactly.  ``H``, the CSR matrix of
+    the same stencil, is written only when something reads it; no run does.
     """
 
-    def __init__(self, matrix):
-        self.H = matrix.tocsr()
+    def __init__(self, mesh, dc, dky, weight):
+        self._mesh = mesh
+        self._stencil = dc, dky, weight
+        self.n_elements = mesh.n_elements
+        self._grid = (mesh.nex + int(dc.max()), 2 * mesh.ney + int(dky.max()))
+        cols = mesh.element_cols
+        self._cells = cols * self._grid[1] + 2 * mesh.element_rows + (cols & 1)
+        self._kernel, self._row_sums = None, 1.0
+        if weight.size > 1:
+            kernel = np.zeros(self._grid)
+            kernel[dc, dky] = weight  # negative offsets wrap around
+            # the transform of a point-symmetric kernel is real
+            self._kernel = np.fft.rfft2(kernel).real
+            self._row_sums = self._correlate(np.ones((1, self.n_elements)))
 
-    @property
-    def n_elements(self):
-        return self.H.shape[0]
-
-    def _rows(self, values):
+    def _columns(self, values):
+        """Checked values as columns (m, n_elements), and their shape."""
         values = np.asarray(values, dtype=float)
         if values.ndim not in (1, 2) or values.shape[0] != self.n_elements:
             raise InvalidArgumentError(
                 f"expected {self.n_elements} rows, got shape {values.shape}"
             )
-        return values
+        return values.reshape(self.n_elements, -1).T, values.shape
+
+    def _correlate(self, columns):
+        """W applied to each row of ``columns``, (m, n_elements)."""
+        if self._kernel is None:
+            return columns
+        m = columns.shape[0]
+        grid = np.zeros((m, *self._grid))
+        grid.reshape(m, -1)[:, self._cells] = columns
+        grid = np.fft.irfft2(np.fft.rfft2(grid) * self._kernel, s=self._grid)
+        return grid.reshape(m, -1)[:, self._cells]
 
     def apply(self, raw):
         """Filtered design H @ raw, for one column (n,) or columns (n, m)."""
-        return self.H @ self._rows(raw)
+        columns, shape = self._columns(raw)
+        out = self._correlate(columns) / self._row_sums
+        return np.ascontiguousarray(out.T).reshape(shape)
 
     def chain(self, d_filtered):
         """Back-propagated sensitivity H^T @ d_filtered, (n,) or (n, m)."""
-        return self.H.T @ self._rows(d_filtered)
+        columns, shape = self._columns(d_filtered)
+        out = self._correlate(columns / self._row_sums)
+        return np.ascontiguousarray(out.T).reshape(shape)
+
+    @functools.cached_property
+    def H(self):
+        """H as a canonical CSR matrix, written from the stencil on first
+        read.  In (dc, dky) order an element's neighbours have ascending
+        indices, so the arrays are written as found."""
+        mesh = self._mesh
+        dc, dky, weight = self._stencil
+        nex, ney = mesh.nex, mesh.ney
+        # the row step of each entry from an even (0) and from an odd (1) column
+        parity = np.arange(2, dtype=np.int32)[:, None]
+        drow = (dky + parity - ((parity + dc) & 1)) // 2
+        # int32 is the CSR index type; it also halves the (elements x stencil)
+        # temporaries
+        col = mesh.element_cols.astype(np.int32)
+        to_col = col[:, None] + dc
+        to_row = mesh.element_rows.astype(np.int32)[:, None] + drow[col & 1]
+        inside = (to_col >= 0) & (to_col < nex) & (to_row >= 0) & (to_row < ney)
+        indices = (to_col * ney + to_row)[inside]
+        indptr = np.zeros(self.n_elements + 1, dtype=np.int32)
+        np.cumsum(inside.sum(axis=1), out=indptr[1:])
+        data = np.broadcast_to(weight, inside.shape)[inside]
+        data /= np.repeat(np.add.reduceat(data, indptr[:-1]), np.diff(indptr))
+        return sp.csr_matrix((data, indices, indptr),
+                             shape=(self.n_elements,) * 2)
 
 
 def build_filter(mesh, r_fill) -> FilterOperator:
@@ -115,49 +177,30 @@ def build_filter(mesh, r_fill) -> FilterOperator:
     One stencil of these offsets and their weights, computed from the
     integer offsets, serves every element, so congruent pairs get
     bitwise-identical weights.  The stencil is clipped to the mesh's extent,
-    which bounds the per-element work for any radius.  In (dc, dky) order an
-    element's neighbours have ascending indices, so the CSR arrays are
-    written as found, canonical.  Rows are normalised by their sums, so
-    constants are preserved exactly.  There is no volume weight: every
-    element has the same area (``TestCongruence``), so it would cancel.  A
-    radius too small to reach any neighbour degenerates the filter to the
-    identity (warned, not an error).
+    which bounds the lattice that ``FilterOperator`` correlates for any
+    radius.  Rows are normalised by their sums, so constants are preserved
+    to round-off.  There is no volume weight: every element has the same
+    area (``TestCongruence``), so it would cancel.  A radius too small to
+    reach any neighbour degenerates the filter to the identity (warned, not
+    an error).
     """
     if not 0.0 < r_fill < np.inf:
         raise InvalidArgumentError(
             f"filter radius must be positive and finite, got {r_fill}")
-    nex, ney = mesh.nex, mesh.ney
     sx, sy = mesh.lattice_scales()
-    max_dc = min(int(r_fill / (3.0 * sx)), nex - 1)
-    max_dky = min(int(r_fill / sy), 2 * ney - 1)
+    max_dc = min(int(r_fill / (3.0 * sx)), mesh.nex - 1)
+    max_dky = min(int(r_fill / sy), 2 * mesh.ney - 1)
     dc, dky = np.mgrid[-max_dc:max_dc + 1, -max_dky:max_dky + 1].reshape(2, -1)
     dist = np.hypot(3.0 * dc * sx, dky * sy)
     keep = ((dc - dky) % 2 == 0) & (dist < r_fill)
-    dc, dky = dc[keep].astype(np.int32), dky[keep].astype(np.int32)
-    weight = 1.0 - dist[keep] / r_fill
-    # the row step of each entry from an even (0) and from an odd (1) column
-    parity = np.arange(2, dtype=np.int32)[:, None]
-    drow = (dky + parity - ((parity + dc) & 1)) // 2
-
-    # int32 is the CSR index type; it also halves the (elements x stencil)
-    # temporaries
-    col = mesh.element_cols.astype(np.int32)
-    to_col = col[:, None] + dc
-    to_row = mesh.element_rows.astype(np.int32)[:, None] + drow[col & 1]
-    inside = (to_col >= 0) & (to_col < nex) & (to_row >= 0) & (to_row < ney)
-    indices = (to_col * ney + to_row)[inside]
-    indptr = np.zeros(mesh.n_elements + 1, dtype=np.int32)
-    np.cumsum(inside.sum(axis=1), out=indptr[1:])
-    data = np.broadcast_to(weight, inside.shape)[inside]
-    data /= np.repeat(np.add.reduceat(data, indptr[:-1]), np.diff(indptr))
-    h = sp.csr_matrix((data, indices, indptr), shape=(mesh.n_elements,) * 2)
-    if h.nnz == mesh.n_elements:
+    if np.count_nonzero(keep) == 1:
         warnings.warn(
             "filter radius smaller than the centroid spacing; "
             "the density filter degenerates to the identity",
             stacklevel=2,
         )
-    return FilterOperator(h)
+    return FilterOperator(mesh, dc[keep].astype(np.int32),
+                          dky[keep].astype(np.int32), 1.0 - dist[keep] / r_fill)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from presstopo import (
     DesignField,
+    FilterOperator,
     InvalidArgumentError,
     MaterialSet,
     build_filter,
@@ -16,8 +18,10 @@ from presstopo import (
     modulus_derivatives,
     volume_measures,
 )
+from presstopo import cli, driver
+from presstopo.config import builtin_config_path, load_config
 
-from conftest import make_uniform_design
+from conftest import arch_config, make_uniform_design
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +142,18 @@ def filter_problems(draw):
     return generate_mesh(nex, ney, lx, ly), columns * lx / nex
 
 
+@st.composite
+def wide_filter_problems(draw):
+    """A random mesh and a radius of up to 1.5 mesh diagonals, so that some
+    stencils are clipped on every side."""
+    nex = draw(st.integers(1, 12))
+    ney = draw(st.integers(1, 8))
+    lx = draw(st.floats(0.05, 2.0))
+    ly = draw(st.floats(0.05, 2.0))
+    diagonals = draw(st.floats(0.05, 1.5))
+    return generate_mesh(nex, ney, lx, ly), diagonals * np.hypot(lx, ly)
+
+
 class TestFilterProperties:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(filter_problems())
@@ -147,6 +163,11 @@ class TestFilterProperties:
             warnings.simplefilter("ignore")
             f = build_filter(mesh, r)
         h_dense = brute_force_filter(mesh, r)
+        x = np.random.default_rng(mesh.n_elements + 1).uniform(
+            size=(mesh.n_elements, 3))
+        assert np.abs(f.apply(x) - h_dense @ x).max() < 1e-13
+        assert np.abs(f.apply(x[:, 0]) - h_dense @ x[:, 0]).max() < 1e-13
+        assert "H" not in vars(f)
         assert f.H.has_canonical_format
         h = f.H.toarray()
         assert np.abs(h - h_dense).max() < 1e-13
@@ -158,6 +179,57 @@ class TestFilterProperties:
             size=(mesh.n_elements, 3))
         assert np.abs(f.chain(s) - h_dense.T @ s).max() < 1e-13
         assert np.abs(f.chain(s[:, 0]) - h_dense.T @ s[:, 0]).max() < 1e-13
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(wide_filter_problems())
+    def test_clipped_stencils_match_brute_force(self, problem):
+        mesh, r = problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            f = build_filter(mesh, r)
+        h_dense = brute_force_filter(mesh, r)
+        rng = np.random.default_rng(mesh.n_elements)
+        x = rng.uniform(size=(mesh.n_elements, 3))
+        s = rng.normal(size=(mesh.n_elements, 3))
+        assert np.abs(f.apply(x) - h_dense @ x).max() < 1e-13
+        assert np.abs(f.chain(s) - h_dense.T @ s).max() < 1e-13
+        assert np.abs(f.chain(s[:, 1]) - h_dense.T @ s[:, 1]).max() < 1e-13
+        assert "H" not in vars(f)
+
+
+class TestNoStoredMatrix:
+    """Runs never build the CSR matrix ``FilterOperator.H``."""
+
+    @pytest.fixture
+    def no_matrix(self, monkeypatch):
+        def read(self):
+            raise AssertionError("FilterOperator.H was read")
+        monkeypatch.setattr(FilterOperator, "H", property(read))
+
+    def test_optimization_does_not_read_h(self, no_matrix):
+        result = driver.run_optimization(
+            arch_config(nex=12, ney=6, max_iterations=3))
+        assert len(result.log.records) == 3
+
+    def test_gradient_check_does_not_read_h(self, no_matrix, capsys):
+        code = cli.main(["gradient-check", "--config", "piston-3mat",
+                         "--elements", "6x4"])
+        assert code == 0, capsys.readouterr().out
+
+    def test_paper_scale_filter_memory(self):
+        cfg = load_config(builtin_config_path("piston-3mat"))
+        mesh = generate_mesh(cfg.nex, cfg.ney, cfg.lx, cfg.ly)
+        x = np.random.default_rng(5).uniform(size=(mesh.n_elements, 3))
+        tracemalloc.start()
+        try:
+            f = build_filter(mesh, cfg.filter_radius)
+            held = tracemalloc.get_traced_memory()[0]
+            f.chain(f.apply(x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 2**20
+        assert peak < 16 * 2**20
 
 
 class TestDesignField:
