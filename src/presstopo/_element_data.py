@@ -12,11 +12,10 @@ global matrix and the slot of every element entry in its ``data`` are built
 once per mesh, on the first assembly (``MeshIntegrals.flow_pattern`` and
 ``stiffness_pattern``), after Andreassen et al. 2011 ("top88") and Ferrari &
 Sigmund 2020 ("top99neo").  The flow pattern, the node pairs that share an
-element, is the one node pattern: the stiffness pattern and the load
-transformation expand it to their DOFs.  An assembly is then one
-``np.bincount`` into the fixed pattern.  The design-independent load
-transformation T is assembled once per thickness
-(``MeshIntegrals.load_matrix``).
+element, is the one node pattern: the stiffness pattern expands it to its
+DOFs.  An assembly is then one ``np.bincount`` into the fixed pattern.  The
+load transformation T is only applied, never assembled
+(``MeshIntegrals.load_transform``).
 
 Both solves prescribe values on some indices: the inlet and outlet
 pressures, and the supports.  ``Pattern.solve`` is the one Dirichlet solve
@@ -27,14 +26,14 @@ the fixed indices, and solves with the ``MixedCholesky`` of M with the
 fixed rows and columns made unit pivots, so that its free part is exactly
 M_ff x_f = c_f; the flow adjoint reuses that solver.
 
-Every square pattern is factored in one fill-reducing order per mesh: a
+Both patterns are factored in one fill-reducing order per mesh: a
 nested dissection of the honeycomb's element grid (George 1973, SIAM J.
 Numer. Anal. 10:345; ``nested_dissection``).  Boxes of element columns and
 rows are halved across their longer side, and the nodes shared across a cut
 are its separator, so the order needs no search.  The same pass groups the
 nodes into the fronts of a multifrontal Cholesky factor (Duff & Reid 1983;
 Liu 1992): each separator is one front, and so is each box of at most
-``2**_LEAF_BITS`` elements.  Each square pattern builds the symbolic part of
+``2**_LEAF_BITS`` elements.  Each pattern builds the symbolic part of
 that factor once, over all its unknowns (``Pattern.tree``, an
 ``EliminationTree``, which groups the fronts of each height of the tree
 into batches of like shape, each padded to its largest front), and
@@ -57,6 +56,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import InvalidArgumentError
@@ -175,44 +175,35 @@ def nested_dissection(conn, nex, ney):
 
 
 class Pattern:
-    """CSR pattern of a matrix assembled from element blocks, and the slot in
-    its ``data`` of each element entry.
+    """CSR pattern of a square matrix assembled from element blocks, and the
+    slot in its ``data`` of each element entry.
 
     The node pattern lists the node pairs that share an element: CSR
     ``node_ptr`` and ``node_cols``, and ``node_slot`` (n_elements, 6, 6), the
-    position of each element's node pair.  ``block=(br, bc)`` expands it to
-    ``br`` interleaved DOFs per row node and ``bc`` per column node (DOF
-    ``br * node + d``), the layout of ``MeshIntegrals.udofs``; with
-    ``block=(1, 1)`` the pattern is the node pattern itself, the flow
-    pattern, whose ``indptr``, ``indices`` and ``slot`` every other pattern
-    of the mesh is built from.  A square
-    pattern that is solved on gets ``node_order``, the rank of each node in
-    the order its blocks are factored in and the front that eliminates it;
-    DOF ``br * node + d`` takes ``rank`` ``br * node_rank[node] + d`` and its
-    node's ``front``.  ``slot`` is int32, one entry per element entry.
+    position of each element's node pair.  ``block`` expands it to that many
+    interleaved DOFs per node (DOF ``block * node + d``), the layout of
+    ``MeshIntegrals.udofs``; with ``block=1`` the pattern is the node pattern
+    itself, the flow pattern, whose ``indptr``, ``indices`` and ``slot`` the
+    stiffness pattern is built from.  ``node_order`` is the mesh's
+    ``MeshIntegrals.node_order``, held, not copied: the rank of each node in
+    the order its blocks are factored in and the front that eliminates it.
+    ``slot`` is int32, one entry per element entry.
     """
 
-    def __init__(self, node_ptr, node_cols, node_slot, block, node_order=None):
-        br, bc = block
-        n = node_ptr.size - 1
-        self.nnz = node_cols.size * br * bc
+    def __init__(self, node_ptr, node_cols, node_slot, block, node_order):
+        self.node_order = node_order
+        self.nnz = node_cols.size * block * block
         # number the entries block by block; bsr_tocsr moves each number to
         # its place in CSR order, with every row's columns sorted
-        csr = sp.bsr_matrix(
-            (np.arange(self.nnz).reshape(-1, br, bc), node_cols, node_ptr),
-            shape=(br * n, bc * n),
-        ).tocsr()
+        csr = sp.bsr_matrix((np.arange(self.nnz).reshape(-1, block, block),
+                             node_cols, node_ptr),
+                            shape=(block * (node_ptr.size - 1),) * 2).tocsr()
         pos = np.empty(self.nnz, dtype=np.int32)
         pos[csr.data] = np.arange(self.nnz, dtype=np.int32)
         self.shape, self.indptr, self.indices = csr.shape, csr.indptr, csr.indices
-        # element entry (br a + d, bc b + e) sits at pos[node_slot[., a, b], d, e]
-        self.slot = pos.reshape(-1, br, bc)[node_slot].transpose(
+        # element entry (b a + d, b c + e) sits at pos[node_slot[., a, c], d, e]
+        self.slot = pos.reshape(-1, block, block)[node_slot].transpose(
             0, 1, 3, 2, 4).ravel()
-        if node_order is not None:
-            node_rank, node_front = node_order
-            self.rank = (br * node_rank[:, None] + np.arange(br)).ravel()
-            self.front = np.repeat(node_front, br)
-            _read_only(self.rank, self.front)
         _read_only(self.indptr, self.indices, self.slot)
 
     def assemble(self, values):
@@ -224,8 +215,8 @@ class Pattern:
 
     @cached_property
     def tree(self) -> EliminationTree:
-        """The symbolic Cholesky factor of every matrix on this square
-        pattern, built on first use."""
+        """The symbolic Cholesky factor of every matrix on this pattern,
+        built on first use."""
         return EliminationTree(self)
 
     def solve(self, matrix, tol, fixed, b=None, values=None):
@@ -279,19 +270,18 @@ def check_fixed(fixed, n):
 class EliminationTree:
     """The symbolic part of the multifrontal Cholesky factor (Duff & Reid
     1983, ACM TOMS 9:302; Liu 1992, SIAM Review 34:82) of every matrix on
-    one square symmetric ``pattern``, over all its unknowns, built once per
-    pattern.
+    one symmetric ``pattern``, over all its unknowns, built once per pattern.
 
-    The unknowns are eliminated in the order of ``pattern.rank``, and
-    ``pattern.front`` assigns each to a front, so that each front eliminates
-    one run of that order, its pivots, as one dense block.  Its ``struct``
-    is the later unknowns its block column of L reaches: the rows of its own
-    columns below its pivots and the structs of its children.  The parent of
-    a front is the front of the first unknown in its struct, which holds
-    every unknown of that struct in its own pivots or struct, so a child's
-    update matrix (struct x struct) is added into its parent's front by
-    slices, one pair per pair of the contiguous runs its struct takes in the
-    parent.
+    The unknowns are eliminated in the pattern's ``node_order``, expanded to
+    its b DOFs per node here: DOF ``b * node + d`` takes rank ``b * rank[node]
+    + d`` and its node's front.  Each front eliminates one run of that order,
+    its pivots, as one dense block.  Its ``struct`` is the later unknowns its
+    block column of L reaches: the rows of its own columns below its pivots
+    and the structs of its children.  The parent of a front is the front of
+    the first unknown in its struct, which holds every unknown of that
+    struct in its own pivots or struct, so a child's update matrix (struct x
+    struct) is added into its parent's front by slices, one pair per pair of
+    the contiguous runs its struct takes in the parent.
 
     ``gather`` holds the positions in the pattern's ``data`` of the lower
     triangle in elimination order, column by column with sorted rows, so
@@ -317,13 +307,16 @@ class EliminationTree:
 
     def __init__(self, pattern):
         n = self.n = pattern.shape[0]
-        perm = np.argsort(pattern.rank).astype(np.int32)
-        front = pattern.front[perm]
+        node_rank, node_front = pattern.node_order
+        b = n // node_rank.size
+        rank = (b * node_rank[:, None] + np.arange(b)).ravel()
+        perm = np.argsort(rank).astype(np.int32)
+        front = np.repeat(node_front, b)[perm]
         # each entry holds its slot + 1, so that no slot is a zero, in the
         # column of its rank; taking the rows in elimination order and tocsc,
         # a counting sort by column, give each column's rows sorted
         csc = sp.csr_matrix((np.arange(1, pattern.nnz + 1, dtype=np.int32),
-                             pattern.rank[pattern.indices], pattern.indptr),
+                             rank[pattern.indices], pattern.indptr),
                             shape=pattern.shape)[perm].tocsc()
         # nested_dissection numbers the fronts 0, 1, ... in elimination order
         bounds = np.r_[np.flatnonzero(np.diff(front, prepend=-1)), n]
@@ -595,9 +588,9 @@ class MixedCholesky:
 
 class MeshIntegrals:
     """Template element matrices, element DOF maps and, built on first use,
-    the sparse patterns of one mesh; all their arrays are read-only.  The
-    flow pattern is the node pattern that the stiffness pattern and each
-    load transformation are built from."""
+    the node order and the two sparse patterns of one mesh; all their arrays
+    are read-only.  The flow pattern is the node pattern that the stiffness
+    pattern is built from, and both hold the one ``node_order``."""
 
     def __init__(self, mesh):
         self.weights, self.shape, self.grads = element_quadrature(
@@ -617,7 +610,6 @@ class MeshIntegrals:
         _read_only(self.weights, self.shape, self.grads, self.diffusion,
                    self.mass, self.udofs)
         self._stiffness = {}
-        self._load_matrix = {}
 
     def load(self, thickness):
         """(12, 6) matrix T_e with T_e[2a+d, b] = t * integral N_a dN_b/dx_d."""
@@ -636,46 +628,43 @@ class MeshIntegrals:
     @cached_property
     def node_order(self):
         """Rank of each node in the mesh's nested-dissection order and the
-        front that eliminates it, built once, with the first pattern that
-        needs them."""
+        front that eliminates it, built once, with the first pattern, and
+        shared by both."""
         return _read_only(*nested_dissection(self.conn, *self.grid))
 
     @cached_property
     def flow_pattern(self) -> Pattern:
         """Pattern of the (n_nodes, n_nodes) flow matrix A: the node pairs
-        that share an element, which is the node pattern of every other
-        pattern."""
+        that share an element, which is the node pattern of K's pattern
+        too."""
         n = self.n_nodes
         keys = (self.conn[:, :, None] * n + self.conn[:, None, :]).ravel()
         pairs, slot = np.unique(keys, return_inverse=True)
         return Pattern(np.searchsorted(pairs, np.arange(n + 1) * n), pairs % n,
-                       slot.reshape(self.conn.shape + (6,)), block=(1, 1),
-                       node_order=self.node_order)
-
-    def _node_pattern(self):
-        """``node_ptr``, ``node_cols`` and ``node_slot`` of ``Pattern``,
-        read from the flow pattern."""
-        flow = self.flow_pattern
-        return flow.indptr, flow.indices, flow.slot.reshape(
-            self.conn.shape + (6,))
+                       slot.reshape(self.conn.shape + (6,)), 1,
+                       self.node_order)
 
     @cached_property
     def stiffness_pattern(self) -> Pattern:
         """Pattern of the (2 n_nodes, 2 n_nodes) stiffness matrix K."""
-        return Pattern(*self._node_pattern(), block=(2, 2),
-                       node_order=self.node_order)
+        flow = self.flow_pattern
+        return Pattern(flow.indptr, flow.indices,
+                       flow.slot.reshape(self.conn.shape + (6,)), 2,
+                       self.node_order)
 
-    def load_matrix(self, thickness):
-        """(2 n_nodes, n_nodes) transformation T, built once per thickness;
-        its arrays are read-only."""
-        t = self._load_matrix.get(thickness)
-        if t is None:
-            pattern = Pattern(*self._node_pattern(), block=(2, 1))
-            t = pattern.assemble(np.broadcast_to(
-                self.load(thickness), self.udofs.shape + (6,)))
-            _read_only(t.data)
-            self._load_matrix[thickness] = t
-        return t
+    def load_transform(self, thickness):
+        """The (2 n_nodes, n_nodes) transformation T as a ``LinearOperator``:
+        T p and T^T u apply the template ``load(thickness)`` to each element
+        and scatter the products by one ``np.bincount``."""
+        t_e, udofs, conn, n = (self.load(thickness), self.udofs, self.conn,
+                               self.n_nodes)
+        # a matrix product passes each column as (N, 1)
+        return spla.LinearOperator(
+            (2 * n, n), dtype=float,
+            matvec=lambda p: np.bincount(
+                udofs.ravel(), (p.reshape(-1)[conn] @ t_e.T).ravel(), 2 * n),
+            rmatvec=lambda u: np.bincount(
+                conn.ravel(), (u.reshape(-1)[udofs] @ t_e).ravel(), n))
 
 
 def mesh_integrals(mesh) -> MeshIntegrals:

@@ -10,10 +10,11 @@ beta is usable).  Under the penetration rule D_s scales with K_s = eps K_v,
 so A scales with K_v as a whole: config files leave K_v at 1.
 
 Assembling both terms over the hexagon quadrature gives the symmetric global
-flow matrix A and the design-independent transformation matrix T
+flow matrix A and the design-independent transformation T
 (``assemble_flow(mesh, design, params) -> (A, T)``).  A is one
 ``np.bincount`` of the scaled element templates into the mesh's fixed flow
-pattern; T is built once per mesh and thickness and then reused.
+pattern; T is a ``LinearOperator`` that applies T's element template to
+each element (``MeshIntegrals.load_transform``).
 ``solve_pressure(A, T, mesh, pressure_bc)`` maps the named edges to their
 nodes and solves A p = 0 by ``Pattern.solve`` of the flow pattern: a float32
 factor of A, with the Dirichlet nodes as unit pivots, refined in float64 on
@@ -135,18 +136,18 @@ class PressureState:
     """
 
     A: sp.csr_matrix
-    T: sp.csr_matrix
+    T: spla.LinearOperator
     p: np.ndarray
     factor: object = field(repr=False)
 
 
 def assemble_flow(mesh, design, params: FlowParams):
-    """Assemble the global flow matrix A and transformation matrix T.
+    """Assemble the global flow matrix A and the transformation T.
 
     A_e = K(r1) * integral grad N^T grad N + D(r1) * integral N^T N over the
     hexagon quadrature; T_e = t * integral N_u^T grad N_p, independent of the
-    design, so that F = -T p yields consistent nodal loads.  Returns (A, T);
-    T is built once per mesh and thickness and returned again after that.
+    design, so that F = -T p yields consistent nodal loads.  Returns (A, T),
+    T a ``LinearOperator`` that applies T_e element by element.
     """
     data = mesh_integrals(mesh)
     rho1 = design.filtered[:, 0]
@@ -154,7 +155,7 @@ def assemble_flow(mesh, design, params: FlowParams):
     d, _ = drainage_coefficient(rho1, params)
     a = data.flow_pattern.assemble(
         k[:, None, None] * data.diffusion + d[:, None, None] * data.mass)
-    return a, data.load_matrix(design.thickness)
+    return a, data.load_transform(design.thickness)
 
 
 def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:

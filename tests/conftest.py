@@ -82,6 +82,21 @@ def boundary_edges(mesh):
     return {e for e, c in count.items() if c == 1}, count
 
 
+# lattice half-steps (sx, sy) of the shipped piston (180x120 elements on
+# 0.12 x 0.04) and arch (200x100 on 0.2 x 0.1) meshes: a lattice spans
+# 3 nex + 1 half-steps in x and 2 ney + 1 in y
+SHIPPED_HALF_STEPS = {"piston": (0.12 / 541, 0.04 / 241),
+                      "arch": (0.2 / 601, 0.1 / 201)}
+
+
+def shipped_shape_mesh(nex, ney, shape):
+    """An ``nex x ney`` honeycomb of the shipped ``shape``'s elements."""
+    sx, sy = SHIPPED_HALF_STEPS[shape]
+    kx, ky = honeymesh.generate_mesh(nex, ney, 1.0, 1.0).node_lattice.max(
+        axis=0)
+    return honeymesh.generate_mesh(nex, ney, kx * sx, ky * sy)
+
+
 def make_uniform_design(mesh, values, thickness=1e-3):
     raw = np.tile(np.asarray(values, dtype=float), (mesh.n_elements, 1))
     return fields.DesignField(

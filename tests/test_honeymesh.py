@@ -18,7 +18,12 @@ from presstopo import (
 
 from presstopo.honeymesh import Mesh
 
-from conftest import boundary_edges, random_convex_hexagon, regular_hexagon
+from conftest import (
+    boundary_edges,
+    random_convex_hexagon,
+    regular_hexagon,
+    shipped_shape_mesh,
+)
 
 
 def shoelace_area(v):
@@ -57,6 +62,22 @@ class TestGenerateMesh:
                 assert len(shared) == 2
                 ia = [list(els[a]).index(n) for n in shared]
                 assert (ia[0] - ia[1]) % 6 in (1, 5)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 14), st.integers(1, 9),
+           st.sampled_from(("piston", "arch")))
+    def test_connectivity_is_nonsingular(self, nex, ney, shape):
+        # the paper's reason for hexagons: two elements that share a node
+        # share a full edge, the two nodes that follow each other in both
+        els = shipped_shape_mesh(nex, ney, shape).elements
+        incidence = np.zeros((els.shape[0], els.max() + 1), dtype=int)
+        np.put_along_axis(incidence, els, 1, axis=1)
+        touching = np.argwhere(np.triu(incidence @ incidence.T, 1))
+        for a, b in touching:
+            for first, second in ((a, b), (b, a)):
+                at = np.flatnonzero(np.isin(els[first], els[second]))
+                assert at.size == 2
+                assert (at[1] - at[0]) % 6 in (1, 5)
 
     def test_elements_counterclockwise_positive_area(self, mesh_5x4):
         for e in range(mesh_5x4.n_elements):
