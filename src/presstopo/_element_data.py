@@ -60,7 +60,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import InvalidArgumentError
-from .honeymesh import _VERTEX_OFFSETS, _wachspress, hex_quadrature
+from .honeymesh import _wachspress, hex_quadrature
 
 # refinement steps after the first float32 solve of a right-hand side; the
 # residual usually stops halving well before this many
@@ -102,11 +102,11 @@ def _read_only(*arrays):
     return arrays
 
 
-def nested_dissection(conn, nex, ney):
+def nested_dissection(conn, cols, rows, lattice):
     """Rank of each node in a nested-dissection order of the element grid
     (George 1973), and the front of the Cholesky factor that eliminates it:
-    element ``c * ney + r`` is column c, row r of an ``nex`` x ``ney`` grid,
-    and ``conn`` lists its nodes.
+    element e is column ``cols[e]``, row ``rows[e]`` of the grid and has the
+    nodes ``conn[e]``, and ``lattice`` holds the nodes' lattice points.
 
     Every box of elements ``[c0, c1) x [r0, r1)`` with more than one element
     is halved at its middle column if it has at least as many columns as
@@ -129,9 +129,9 @@ def nested_dissection(conn, nex, ney):
     clamped at ``_LEAF_BITS``, and each box's run of ranks keeps its merged
     parts together.
     """
-    cell = np.arange(nex * ney)
-    grid = np.column_stack(np.divmod(cell, ney))
-    lo, hi = np.zeros_like(grid), np.tile([nex, ney], (cell.size, 1))
+    cell = np.arange(cols.size)
+    grid = np.column_stack([cols, rows])
+    lo, hi = np.zeros_like(grid), np.tile(grid.max(0) + 1, (cell.size, 1))
     path = np.zeros(cell.size, dtype=np.int64)
     while np.any(hi - lo > 1):
         axis = (hi - lo).argmax(axis=1)  # columns first on a tie
@@ -141,20 +141,16 @@ def nested_dissection(conn, nex, ney):
         lo[cell, axis] = np.where(upper, mid, start)
         hi[cell, axis] = np.where(upper, stop, mid)
         path = 2 * path + upper
-    n = conn.max() + 1
+    n = lattice.shape[0]
     first, last = np.full(n, path.max()), np.zeros(n, dtype=np.int64)
     np.minimum.at(first, conn, path[:, None])
     np.maximum.at(last, conn, path[:, None])
     below = np.frexp(first ^ last)[1].astype(np.int64)  # bit length
     # the parts in rank order, each ranking its nodes along its longer
-    # extent on the lattice, then by number; Mesh centres element (c, r) at
-    # (3c+2, 2r+1+(c&1))
+    # extent on the lattice, then by number
     _, part = np.unique(((last | ((1 << below) - 1)) << 6) | below,
                         return_inverse=True)
-    point = np.empty((2, n), dtype=np.int64)
-    point[0, conn] = 3 * grid[:, :1] + 2 + _VERTEX_OFFSETS[:, 0]
-    point[1, conn] = (2 * grid[:, 1:] + 1 + (grid[:, :1] & 1)
-                      + _VERTEX_OFFSETS[:, 1])
+    point = lattice.T
     low = np.full((2, part.max() + 1), point.max())
     high = np.zeros_like(low)
     for d in range(2):
@@ -588,9 +584,11 @@ class MixedCholesky:
 
 class MeshIntegrals:
     """Template element matrices, element DOF maps and, built on first use,
-    the node order and the two sparse patterns of one mesh; all their arrays
-    are read-only.  The flow pattern is the node pattern that the stiffness
-    pattern is built from, and both hold the one ``node_order``."""
+    the load template, the node order and the two sparse patterns of one
+    mesh; all their arrays are read-only.  The flow pattern is the node
+    pattern that the stiffness pattern is built from, and both hold the one
+    ``node_order``.  It holds the mesh's arrays, not the mesh, which caches
+    it: a cycle would wait for the garbage collector."""
 
     def __init__(self, mesh):
         self.weights, self.shape, self.grads = element_quadrature(
@@ -602,7 +600,7 @@ class MeshIntegrals:
                               self.shape)
         self.conn = mesh.elements
         self.n_nodes = mesh.n_nodes
-        self.grid = mesh.nex, mesh.ney
+        self._grid = mesh.element_cols, mesh.element_rows, mesh.node_lattice
         # interleaved displacement DOFs per element, (n_elements, 12)
         self.udofs = np.empty((mesh.n_elements, 12), dtype=self.conn.dtype)
         self.udofs[:, 0::2] = 2 * self.conn
@@ -611,10 +609,14 @@ class MeshIntegrals:
                    self.mass, self.udofs)
         self._stiffness = {}
 
+    @cached_property
+    def _unit_load(self):  # T_e at unit thickness
+        m = np.einsum("q,qa,qbd->adb", self.weights, self.shape, self.grads)
+        return _read_only(m.reshape(12, 6))[0]
+
     def load(self, thickness):
         """(12, 6) matrix T_e with T_e[2a+d, b] = t * integral N_a dN_b/dx_d."""
-        m = np.einsum("q,qa,qbd->adb", self.weights, self.shape, self.grads)
-        return thickness * m.reshape(12, 6)
+        return thickness * self._unit_load
 
     def stiffness(self, nu, thickness):
         """(12, 12) unit-modulus plane-stress stiffness, built once, read-only."""
@@ -630,7 +632,7 @@ class MeshIntegrals:
         """Rank of each node in the mesh's nested-dissection order and the
         front that eliminates it, built once, with the first pattern, and
         shared by both."""
-        return _read_only(*nested_dissection(self.conn, *self.grid))
+        return _read_only(*nested_dissection(self.conn, *self._grid))
 
     @cached_property
     def flow_pattern(self) -> Pattern:

@@ -2,8 +2,8 @@
 
 Compliance c = u^T K u is differentiated through the coupled system
 K u = -T p, A p = 0.  The structural problem is self-adjoint (lam1 = -2u);
-the flow adjoint solves A lam2 = 2 T^T u on the free pressure nodes.  Per
-filtered variable,
+the flow adjoint solves A lam2 = 2 T^T u on the free pressure nodes with
+the state solve's factor, gated as that solve is.  Per filtered variable,
 
     dc/dr_i1 = -u_e^T dk_e/dr_i1 u_e + lam2_e^T dA_e/dr_i1 p_e
     dc/dr_ij = -u_e^T dk_e/dr_ij u_e            (j >= 2; A depends on r1 only)
@@ -24,6 +24,7 @@ import numpy as np
 
 from ._element_data import mesh_integrals
 from .darcy import drainage_coefficient, flow_coefficient
+from .errors import SolverError
 from .fields import modulus_derivatives
 
 
@@ -34,7 +35,8 @@ def compliance_sensitivity(mesh, materials, flow_params, state, filt,
     ``state`` is the ``ElasticState`` returned by ``driver.analyze``; the
     design with its thickness, the displacements, the pressure field and the
     pressure factorization are all read from it.  ``include_load_term=False``
-    drops the flow-adjoint contribution, for diagnostics only.
+    drops the flow-adjoint contribution, for diagnostics only.  A flow
+    adjoint residual past the pressure gate, or NaN, raises ``SolverError``.
     """
     design, pressure = state.design, state.pressure
     data = mesh_integrals(mesh)
@@ -49,7 +51,11 @@ def compliance_sensitivity(mesh, materials, flow_params, state, filt,
 
     if include_load_term:
         # A is symmetric, so the adjoint reuses the state solve's factor
-        lam2 = pressure.factor(2.0 * (pressure.T.T @ state.u))
+        factor = pressure.factor
+        lam2 = factor(2.0 * (pressure.T.T @ state.u))
+        if not factor.residual <= factor.tol:
+            raise SolverError(f"flow adjoint solve residual "
+                              f"{factor.residual:.3e} exceeds {factor.tol:.1e}")
         lam_e = lam2[data.conn]
         rho1 = design.filtered[:, 0]
         _, dk = flow_coefficient(rho1, flow_params)

@@ -1,13 +1,12 @@
 """Design-dependent pressure field via the Darcy law with a drainage term.
 
 The flux follows q = -K(r1) grad p, where the elemental flow coefficient K
-steps from the void value K_v down to the solid value K_s = eps * K_v through
-a smooth Heaviside of the filtered topology density r1.  A drainage sink
--D(r1) (p - p_ext) with p_ext = 0 makes the pressure decay across solid
-members, so the load localizes at the evolving structural boundary.  One
-kernel gives the step and its slope (0 where cosh^2 overflows, so any finite
-beta is usable).  Under the penetration rule D_s scales with K_s = eps K_v,
-so A scales with K_v as a whole: config files leave K_v at 1.
+steps from 1 in void down to the contrast eps in solid through a smooth
+Heaviside of the filtered topology density r1 (``smooth_heaviside``, which
+gives the slope too).  A drainage sink -D(r1) (p - p_ext) with p_ext = 0
+makes the pressure decay across solid members, so the load localizes at the
+evolving structural boundary.  A void coefficient other than 1 would scale
+K, the penetration rule's D_s and so A as a whole, and change no result.
 
 Assembling both terms over the hexagon quadrature gives the symmetric global
 flow matrix A and the design-independent transformation T
@@ -39,14 +38,14 @@ _RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Darcy flow and drainage parameters.
+    """Darcy flow and drainage parameters; ``epsilon`` is the solid flow
+    coefficient, the void one being 1, and ``d_solid`` the solid drainage.
 
     ``beta_k`` or ``beta_d`` equal to zero disables the corresponding step
     (coefficient frozen at its void value / drainage switched off), which
     makes the flow matrix design-independent for diagnostics.
     """
 
-    k_void: float = 1.0
     epsilon: float = 1e-7
     eta_k: float = 0.2
     beta_k: float = 10.0
@@ -57,9 +56,6 @@ class FlowParams:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidArgumentError(f"flow contrast must be in (0,1): {self.epsilon}")
-        if not 0 < self.k_void < np.inf:
-            raise InvalidArgumentError(
-                "void flow coefficient must be positive and finite")
         if not (0 <= self.beta_k < np.inf and 0 <= self.beta_d < np.inf):
             raise InvalidArgumentError("step slopes must be non-negative and finite")
         for eta in (self.eta_k, self.eta_d):
@@ -69,16 +65,13 @@ class FlowParams:
             raise InvalidArgumentError(
                 "solid drainage coefficient must be >= 0 and finite")
 
-    @property
-    def k_solid(self):
-        return self.epsilon * self.k_void
 
-
-def _step(x, beta, eta):
+def smooth_heaviside(x, beta, eta):
     """Smooth step H = [tanh(b e) + tanh(b (x - e))] / [tanh(b e) +
-    tanh(b (1 - e))] and its slope dH/dx.  H maps 0 -> 0 and 1 -> 1 exactly
-    for beta > 0; beta == 0 gives zeros (step disabled).  Where
-    cosh(b (x - e))^2 overflows, the slope takes its limit, 0."""
+    tanh(b (1 - e))] of the flow law and its slope dH/dx, as arrays shaped
+    like ``x``.  H maps 0 -> 0 and 1 -> 1 exactly for beta > 0; beta == 0
+    gives zeros (step disabled).  Where cosh(b (x - e))^2 overflows, the
+    slope takes its limit, 0."""
     x = np.asarray(x, dtype=float)
     if beta == 0.0:
         return np.zeros_like(x), np.zeros_like(x)
@@ -88,27 +81,19 @@ def _step(x, beta, eta):
     return (np.tanh(beta * eta) + np.tanh(beta * (x - eta))) / denom, slope
 
 
-def smooth_heaviside(x, beta, eta):
-    """The step H of the flow law (``_step``); a float for a scalar ``x``."""
-    out = _step(x, beta, eta)[0]
-    return float(out) if out.ndim == 0 else out
-
-
 def flow_coefficient(rho1, params: FlowParams):
     """Elemental flow coefficient K(r1) and its derivative dK/dr1.
 
-    K = K_v (1 - (1 - eps) H(r1)); depends on the topology variable only,
+    K = 1 - (1 - eps) H(r1); depends on the topology variable only,
     irrespective of how many candidate materials are interpolated.
     """
-    h, dh = _step(rho1, params.beta_k, params.eta_k)
-    k = params.k_void * (1.0 - (1.0 - params.epsilon) * h)
-    dk = -params.k_void * (1.0 - params.epsilon) * dh
-    return k, dk
+    h, dh = smooth_heaviside(rho1, params.beta_k, params.eta_k)
+    return 1.0 - (1.0 - params.epsilon) * h, -(1.0 - params.epsilon) * dh
 
 
 def drainage_coefficient(rho1, params: FlowParams):
     """Elemental drainage coefficient D(r1) = D_s H(r1) and its derivative."""
-    h, dh = _step(rho1, params.beta_d, params.eta_d)
+    h, dh = smooth_heaviside(rho1, params.beta_d, params.eta_d)
     return params.d_solid * h, params.d_solid * dh
 
 
@@ -118,14 +103,14 @@ def penetration_drainage(params: FlowParams, element_height,
 
     Chooses D_s so that, in a uniformly solid slab, the pressure decays to
     ``remainder`` of its boundary value within ``depth_elements`` element
-    heights: D_s = (ln r / ds)^2 K_s.
+    heights: D_s = (ln r / ds)^2 eps, eps the solid flow coefficient.
     """
     if not 0.0 < remainder < 1.0:
         raise InvalidArgumentError("remainder must be in (0,1)")
     ds = depth_elements * element_height
     if not 0 < ds < np.inf:
         raise InvalidArgumentError("penetration depth must be positive and finite")
-    return (np.log(remainder) / ds) ** 2 * params.k_solid
+    return (np.log(remainder) / ds) ** 2 * params.epsilon
 
 
 @dataclass(frozen=True)

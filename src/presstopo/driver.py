@@ -99,7 +99,8 @@ def initial_design(config, mesh):
 
 
 def read_design_csv(path, n_elements, n_variables):
-    """Load raw design variables from a previously written design.csv."""
+    """Load raw design variables from a previously written design.csv,
+    whose element column lists 0..n_elements-1 in order."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
     except (OSError, ValueError) as exc:  # ValueError: a bad cell or row
@@ -113,6 +114,9 @@ def read_design_csv(path, n_elements, n_variables):
         )
     if not np.isfinite(data).all():
         raise ConfigError(f"initial design {path} has non-finite values")
+    if not np.array_equal(data[:, 0], np.arange(n_elements)):
+        raise ConfigError(f"initial design {path} does not list elements "
+                          f"0..{n_elements - 1} in order")
     return np.clip(data[:, 1:], 0.0, 1.0)
 
 

@@ -300,10 +300,13 @@ def material_phase_densities(filtered, n_materials=None):
 
     For variables (r1, r2, ..., rm): material 1 has density r1(1-r2),
     material 2 has r1 r2 (1-r3), ..., material m has r1 r2 ... rm.
-    Returns (n_elements, m).
+    Returns (n_elements, m).  ``n_materials``, when given, must equal m, or
+    ``InvalidArgumentError`` is raised.
     """
     rho = np.atleast_2d(np.asarray(filtered, dtype=float))
-    m = rho.shape[1] if n_materials is None else int(n_materials)
+    m = rho.shape[1]
+    if n_materials not in (None, m):
+        raise InvalidArgumentError(f"{n_materials} materials for {m} columns")
     out = np.empty((rho.shape[0], m))
     prefix = rho[:, 0].copy()
     for j in range(m):

@@ -16,6 +16,8 @@ from .errors import InvalidArgumentError, PresstopoError
 from .fields import material_phase_densities
 
 _VOID_COLOR = "#ffffff"
+_SVG_WIDTH_PX = 900  # the SVG's width in pixels
+_N_ISOLINES = 9  # the pressure isolines drawn on it
 
 
 def _material_colors(m):
@@ -94,12 +96,12 @@ def write_design_csv(path, design):
                np.column_stack([np.arange(design.n_elements), design.raw]))
 
 
-def write_vtk_polydata(path, mesh, design, pressure=None, displacement=None):
+def write_vtk_polydata(path, mesh, design, pressure, displacement):
     """Legacy-VTK text dump: polygon cells, cell data, and point data.
 
     Cell data holds the filtered topology density and the physical density of
-    each material phase; point data holds pressure and displacement when
-    available.
+    each material phase; point data holds the nodal pressure and the
+    displacement vector of each node.
     """
     m = design.n_variables
     phases = material_phase_densities(design.filtered, m)
@@ -123,25 +125,19 @@ def write_vtk_polydata(path, mesh, design, pressure=None, displacement=None):
         lines.append("LOOKUP_TABLE default")
         lines.append(_lines("%.17g", values[:, None]))
 
-    if pressure is not None or displacement is not None:
-        lines.append(f"POINT_DATA {mesh.n_nodes}")
-    if pressure is not None:
-        lines.append("SCALARS pressure double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.append(_lines("%.17g", pressure[:, None]))
-    if displacement is not None:
-        lines.append("VECTORS displacement double")
-        lines.append(_lines("%.17g %.17g 0",
-                            displacement[:2 * mesh.n_nodes].reshape(-1, 2)))
+    lines += [f"POINT_DATA {mesh.n_nodes}", "SCALARS pressure double 1",
+              "LOOKUP_TABLE default", _lines("%.17g", pressure[:, None]),
+              "VECTORS displacement double",
+              _lines("%.17g %.17g 0",
+                     displacement[:2 * mesh.n_nodes].reshape(-1, 2))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_material_svg(path, mesh, design, pressure=None, width_px=900,
-                       n_isolines=9):
+def write_material_svg(path, mesh, design, pressure=None):
     """Render the hexagons colored by their dominant phase.
 
     The stiffest material is black, softer ones orange then gold, void white;
-    an optional pressure-isoline overlay is drawn in blue.
+    an optional overlay of ``_N_ISOLINES`` pressure isolines is drawn in blue.
     """
     m = design.n_variables
     phases = material_phase_densities(design.filtered, m)
@@ -150,12 +146,12 @@ def write_material_svg(path, mesh, design, pressure=None, width_px=900,
     dominant = shares.argmax(axis=1)
 
     colors = [_VOID_COLOR] + _material_colors(m)[::-1]
-    scale = width_px / mesh.Lx
+    scale = _SVG_WIDTH_PX / mesh.Lx
     height_px = mesh.Ly * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px:.0f}" '
-        f'height="{height_px:.0f}" viewBox="0 0 {width_px:.2f} '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH_PX:.0f}" '
+        f'height="{height_px:.0f}" viewBox="0 0 {_SVG_WIDTH_PX:.2f} '
         f'{height_px:.2f}">',
         f'<rect width="100%" height="100%" fill="{_VOID_COLOR}"/>',
     ]
@@ -170,7 +166,8 @@ def write_material_svg(path, mesh, design, pressure=None, width_px=900,
                      % tuple(coords[mesh.elements[shown]].ravel().tolist()))
 
     if pressure is not None and np.ptp(pressure) > 0:
-        levels = np.linspace(pressure.min(), pressure.max(), n_isolines + 2)[1:-1]
+        levels = np.linspace(pressure.min(), pressure.max(),
+                             _N_ISOLINES + 2)[1:-1]
         ends = _pressure_isolines(mesh, pressure, levels) * scale
         ends[:, :, 1] = height_px - ends[:, :, 1]
         if ends.size:

@@ -25,6 +25,8 @@ from presstopo import (
     SolverError,
     assemble_flow,
     assemble_stiffness,
+    build_filter,
+    compliance_sensitivity,
     generate_mesh,
     solve_displacements,
     solve_pressure,
@@ -201,13 +203,13 @@ class TestScatterAssembly:
     def test_node_order_is_a_nested_dissection(self, problem):
         mesh = problem[0]
         data = mesh_integrals(mesh)
-        rank, front = _element_data.nested_dissection(mesh.elements, mesh.nex,
-                                                      mesh.ney)
+        grid = (mesh.elements, mesh.element_cols, mesh.element_rows,
+                mesh.node_lattice)
+        rank, front = _element_data.nested_dissection(*grid)
         assert np.array_equal(np.sort(rank), np.arange(mesh.n_nodes))
         assert np.array_equal(rank, data.node_order[0])
         assert np.array_equal(front, data.node_order[1])
-        again = _element_data.nested_dissection(mesh.elements, mesh.nex,
-                                                mesh.ney)
+        again = _element_data.nested_dissection(*grid)
         assert np.array_equal(rank, again[0])
         assert np.array_equal(front, again[1])
 
@@ -569,6 +571,23 @@ class TestRefinedSolve:
         with pytest.raises(SolverError, match="displacement solve residual"):
             solve_displacements(k, f, mesh, fixed)
         assert spy.calls == [np.float32, np.float64]
+
+    def test_adjoint_missing_gate_raises(self, monkeypatch):
+        # the state solve meets its gate; then the fallback is spent on a
+        # float64 factor whose solutions are off by a relative 1e-6, so the
+        # flow adjoint's residual misses the 1e-10 gate
+        mesh, design, fixed, _ = self._problem(2)
+        state = analyze(design, mesh, MATS, FLOW, fixed,
+                        {"top": 1e5, "bottom": 0.0})
+        factor = state.pressure.factor
+        assert factor.fallbacks == 0 and factor.residual <= factor.tol
+        spy = SpyFactor(monkeypatch, scale64=1.0 + 1e-6)
+        monkeypatch.setattr(_element_data, "_MAX_STEPS", 0)
+        factor._factor64()
+        filt = build_filter(mesh, 1.5 * mesh.element_width)
+        with pytest.raises(SolverError, match="flow adjoint solve residual"):
+            compliance_sensitivity(mesh, MATS, FLOW, state, filt)
+        assert spy.calls == [np.float64] and factor.fallbacks == 1
 
     def test_steps_count_the_float64_loop(self, monkeypatch):
         # an unreachable gate forces the fallback; steps and residual then

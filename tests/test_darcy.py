@@ -45,22 +45,23 @@ def solve_strip(mesh, rho1, params, bc=None):
 class TestSmoothHeaviside:
     def test_endpoints_exact(self):
         for beta in (1.0, 10.0, 25.0):
-            assert smooth_heaviside(0.0, beta, 0.2) == 0.0
-            assert smooth_heaviside(1.0, beta, 0.2) == pytest.approx(1.0, abs=1e-15)
+            assert smooth_heaviside(0.0, beta, 0.2)[0] == 0.0
+            assert smooth_heaviside(1.0, beta, 0.2)[0] == pytest.approx(
+                1.0, abs=1e-15)
 
     def test_hand_value(self):
-        h = smooth_heaviside(0.2, 10.0, 0.2)
+        h = smooth_heaviside(0.2, 10.0, 0.2)[0]
         oracle = np.tanh(2.0) / (np.tanh(2.0) + np.tanh(8.0))
         assert h == pytest.approx(oracle, rel=1e-14)
         assert h == pytest.approx(0.49085, abs=1e-5)
 
     def test_monotone(self):
         x = np.linspace(0, 1, 101)
-        h = smooth_heaviside(x, 10.0, 0.2)
+        h = smooth_heaviside(x, 10.0, 0.2)[0]
         assert np.all(np.diff(h) > 0)
 
     def test_zero_slope_disables_step(self):
-        assert smooth_heaviside(0.7, 0.0, 0.2) == 0.0
+        assert smooth_heaviside(0.7, 0.0, 0.2)[0] == 0.0
 
 
 class TestFlowCoefficients:
@@ -68,19 +69,18 @@ class TestFlowCoefficients:
 
     def test_void_flows_fully(self):
         k, _ = flow_coefficient(0.0, self.params)
-        assert k == pytest.approx(self.params.k_void)
+        assert k == pytest.approx(1.0)
 
     def test_solid_flow_is_contrast(self):
         k, _ = flow_coefficient(1.0, self.params)
-        assert k == pytest.approx(self.params.k_solid, rel=1e-9)
+        assert k == pytest.approx(self.params.epsilon, rel=1e-9)
 
     def test_hand_value(self):
         k, _ = flow_coefficient(0.2, self.params)
-        oracle = self.params.k_void * (
-            1.0 - (1.0 - self.params.epsilon)
-            * np.tanh(2.0) / (np.tanh(2.0) + np.tanh(8.0)))
+        oracle = 1.0 - (1.0 - self.params.epsilon) * np.tanh(2.0) / (
+            np.tanh(2.0) + np.tanh(8.0))
         assert k == pytest.approx(oracle, rel=1e-13)
-        assert k == pytest.approx(0.50915 * self.params.k_void, abs=1e-5)
+        assert k == pytest.approx(0.50915, abs=1e-5)
 
     def test_drainage_endpoints(self):
         params = FlowParams(d_solid=7.5)
@@ -110,7 +110,7 @@ class TestFlowCoefficients:
         x = np.linspace(0, 1, 11)
         k, dk = flow_coefficient(x, params)
         d, dd = drainage_coefficient(x, params)
-        assert np.all(k == params.k_void)
+        assert np.all(k == 1.0)
         assert np.all(dk == 0.0) and np.all(dd == 0.0) and np.all(d == 0.0)
 
     def test_matches_step_formula_bitwise(self):
@@ -122,13 +122,13 @@ class TestFlowCoefficients:
         dh = beta / (np.cosh(beta * (x - eta)) ** 2 * denom)
         params = FlowParams(d_solid=3.0)
         k, dk = flow_coefficient(x, params)
-        assert np.array_equal(k, params.k_void
-                              * (1.0 - (1.0 - params.epsilon) * h))
-        assert np.array_equal(dk, -params.k_void * (1.0 - params.epsilon) * dh)
+        assert np.array_equal(k, 1.0 - (1.0 - params.epsilon) * h)
+        assert np.array_equal(dk, -(1.0 - params.epsilon) * dh)
         d, dd = drainage_coefficient(x, params)
         assert np.array_equal(d, 3.0 * h)
         assert np.array_equal(dd, 3.0 * dh)
-        assert np.array_equal(smooth_heaviside(x, beta, eta), h)
+        step, slope = smooth_heaviside(x, beta, eta)
+        assert np.array_equal(step, h) and np.array_equal(slope, dh)
 
     @pytest.mark.parametrize("beta", [450.0, 900.0, 1000.0])
     def test_steep_step_has_finite_slope(self, beta):
@@ -162,7 +162,7 @@ class TestPenetrationRule:
         params = FlowParams()
         ds = penetration_drainage(params, element_height=0.01,
                                   remainder=0.1, depth_elements=2.0)
-        rate = np.sqrt(ds / params.k_solid)
+        rate = np.sqrt(ds / params.epsilon)
         assert rate == pytest.approx(-np.log(0.1) / 0.02, rel=1e-12)
 
     @pytest.mark.parametrize("kwargs", [{"remainder": np.nan},

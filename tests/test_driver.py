@@ -64,7 +64,7 @@ class TestProblemSetup:
     def test_penetration_drainage_applied(self):
         cfg = arch_config(nex=5, ney=4)
         mesh, _, _, flow, _ = driver.build_problem(cfg)
-        expected = (np.log(0.1) / (2 * mesh.element_height)) ** 2 * flow.k_solid
+        expected = (np.log(0.1) / (2 * mesh.element_height)) ** 2 * flow.epsilon
         assert flow.d_solid == pytest.approx(expected, rel=1e-12)
 
 
@@ -310,6 +310,16 @@ class TestDesignRestart:
         path.write_text("element,rho1\n0,0.5\n")
         with pytest.raises(ConfigError):
             driver.read_design_csv(path, 10, 1)
+
+    @pytest.mark.parametrize("ids", [(1, 0), (7, 7), (0, 2)])
+    def test_restart_element_ids_out_of_order_rejected(self, tmp_path, ids):
+        # a design.csv whose rows are in another order, or repeat an id,
+        # would load each element another element's values
+        path = tmp_path / "design.csv"
+        path.write_text("element,rho1\n" + "".join(
+            f"{e},0.{e + 1}\n" for e in ids))
+        with pytest.raises(ConfigError, match="design.csv"):
+            driver.read_design_csv(path, 2, 1)
 
     def test_restart_non_finite_names_file(self, tmp_path):
         path = tmp_path / "design.csv"

@@ -2,21 +2,27 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presstopo import (
+    FlowParams,
     GeometryError,
     InvalidArgumentError,
     MaterialSet,
     SingularSystemError,
+    assemble_flow,
     assemble_stiffness,
     element_stiffness,
     generate_mesh,
+    penetration_drainage,
     solve_displacements,
 )
+from presstopo.driver import analyze
 
 from presstopo._element_data import mesh_integrals
 
-from conftest import make_uniform_design, regular_hexagon
+from conftest import make_uniform_design, regular_hexagon, shipped_shape_mesh
 
 
 def domain_boundary_nodes(mesh):
@@ -325,3 +331,107 @@ class TestComplianceMonotonicity:
             bumped = base.copy()
             bumped[e, 0] = min(1.0, bumped[e, 0] + 0.2)
             assert compliance(bumped) < c0
+
+
+def shipped_shape_meshes():
+    """Honeycombs of 1x1 up to 9x7 elements of the shipped piston or arch
+    element shape, and a seed for the random draws on them."""
+    return st.tuples(st.integers(1, 9), st.integers(1, 7),
+                     st.sampled_from(("piston", "arch")),
+                     st.integers(0, 2**32 - 1))
+
+
+def bottom_supports(mesh):
+    bottom = mesh.boundary_node_sets["bottom"]
+    return np.sort(np.concatenate([2 * bottom, 2 * bottom + 1]))
+
+
+class TestPhysicsOverShippedShapes:
+    """The patch test, the null spaces of K and A and the energy identity
+    over meshes of both shipped element shapes, from one element up."""
+
+    mats = MaterialSet(e_moduli=(40e6, 100e6), nu=0.4, thickness=1e-3)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(shipped_shape_meshes())
+    def test_patch_test_with_random_linear_field(self, draw):
+        nex, ney, shape, seed = draw
+        mesh = shipped_shape_mesh(nex, ney, shape)
+        rng = np.random.default_rng(seed)
+        mats = MaterialSet(e_moduli=(rng.uniform(1e6, 1e9),),
+                           nu=rng.uniform(0.0, 0.49), thickness=1e-3)
+        k = assemble_stiffness(mesh, make_uniform_design(mesh, [1.0]), mats)
+        # u = a + G x, with x from the mesh's centre in units of its size
+        x = (mesh.nodes - mesh.nodes.mean(axis=0)) / max(mesh.Lx, mesh.Ly)
+        u_exact = (rng.normal(size=2) + x @ rng.normal(size=(2, 2)).T).ravel()
+        bnodes = domain_boundary_nodes(mesh)
+        fixed = np.sort(np.concatenate([2 * bnodes, 2 * bnodes + 1]))
+        interior = np.setdiff1d(np.arange(k.shape[0]), fixed)
+        # the internal forces of a linear field vanish at interior nodes (a
+        # mesh of one row or column has none); worst over these 40 draws:
+        # 4.7e-16 of |K| |u|
+        scale = abs(k).max() * np.abs(u_exact).max()
+        assert np.abs((k @ u_exact)[interior]).max(initial=0.0) \
+            <= 1e-13 * scale
+        u, _ = solve_displacements(k, np.zeros(k.shape[0]), mesh, fixed,
+                                   u_exact[fixed])
+        # worst over these 40 draws: 1.9e-15 of max |u|
+        assert np.abs(u - u_exact).max() <= 1e-12 * np.abs(u_exact).max()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(shipped_shape_meshes())
+    def test_null_spaces_of_k_and_a(self, draw):
+        nex, ney, shape, seed = draw
+        mesh = shipped_shape_mesh(nex, ney, shape)
+        rng = np.random.default_rng(seed)
+        design = make_uniform_design(mesh, [0.5, 0.5])
+        design.filtered = rng.uniform(0.0, 1.0, design.filtered.shape)
+        k = assemble_stiffness(mesh, design, self.mats).toarray()
+        # the rigid modes: two translations and the rotation about the centre
+        x = (mesh.nodes - mesh.nodes.mean(axis=0)) / max(mesh.Lx, mesh.Ly)
+        rigid = np.zeros((k.shape[0], 3))
+        rigid[0::2, 0] = rigid[1::2, 1] = 1.0
+        rigid[0::2, 2], rigid[1::2, 2] = -x[:, 1], x[:, 0]
+        # worst over these 40 draws: 1.3e-15 of |K| |r|
+        assert np.abs(k @ rigid).max() \
+            <= 1e-13 * np.abs(k).max() * np.abs(rigid).max()
+        # K is positive definite on the complement of the rigid modes, so
+        # they are its whole null space; over these 40 draws the smallest
+        # eigenvalue there is at least 1.7e-7 of the largest, and A_ff's
+        # at least 2.9e-8
+        q = np.linalg.qr(rigid, mode="complete")[0][:, 3:]
+        np.linalg.cholesky(q.T @ k @ q)
+        free = np.setdiff1d(np.arange(k.shape[0]), bottom_supports(mesh))
+        np.linalg.cholesky(k[np.ix_(free, free)])
+
+        flow = FlowParams()
+        flow = FlowParams(d_solid=penetration_drainage(flow,
+                                                       mesh.element_height))
+        a = assemble_flow(mesh, design, flow)[0].toarray()
+        dirichlet = np.concatenate([mesh.boundary_node_sets["top"],
+                                    mesh.boundary_node_sets["bottom"]])
+        free = np.setdiff1d(np.arange(a.shape[0]), dirichlet)
+        np.linalg.cholesky(a[np.ix_(free, free)])
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(shipped_shape_meshes())
+    def test_compliance_is_work_and_strain_energy(self, draw):
+        nex, ney, shape, seed = draw
+        mesh = shipped_shape_mesh(nex, ney, shape)
+        rng = np.random.default_rng(seed)
+        design = make_uniform_design(mesh, [0.5, 0.5])
+        design.filtered = rng.uniform(0.0, 1.0, design.filtered.shape)
+        flow = FlowParams()
+        flow = FlowParams(d_solid=penetration_drainage(flow,
+                                                       mesh.element_height))
+        fixed = bottom_supports(mesh)
+        state = analyze(design, mesh, self.mats, flow, fixed,
+                        {"top": 1e5, "bottom": 0.0})
+        u, f = state.u, state.F
+        assert state.compliance == u @ f > 0.0
+        # u is zero on the supports, so u.K u - u.F = u_f.(K_ff u_f - F_f),
+        # at most |u| |F_f| times the 1e-9 residual gate; worst over these
+        # 40 draws: 2.6e-11 of c, and 1.5e-11 of |u| |F_f|
+        f_free = np.linalg.norm(np.delete(f, fixed))
+        assert abs(u @ (state.K @ u) - state.compliance) \
+            <= 1e-9 * np.linalg.norm(u) * f_free

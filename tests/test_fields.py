@@ -448,6 +448,16 @@ class TestPhaseDensities:
         out = material_phase_densities(r)
         assert np.abs(out.sum(axis=1) - r[:, 0]).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_material_count_must_match_columns(self, n):
+        # one material on two columns would return rho1, and three an
+        # IndexError
+        r = np.array([[0.8, 0.25]])
+        assert np.array_equal(material_phase_densities(r, 2),
+                              material_phase_densities(r))
+        with pytest.raises(InvalidArgumentError, match="for 2 columns"):
+            material_phase_densities(r, n)
+
 
 @st.composite
 def material_designs(draw):
