@@ -14,8 +14,8 @@ once per mesh, on the first assembly (``MeshIntegrals.flow_pattern`` and
 Sigmund 2020 ("top99neo").  The flow pattern, the node pairs that share an
 element, is the one node pattern: the stiffness pattern expands it to its
 DOFs.  An assembly is then one ``np.bincount`` into the fixed pattern.  The
-load transformation T is only applied, never assembled
-(``MeshIntegrals.load_transform``).
+load transformation T is applied from its element template, built once at
+unit thickness, and never assembled (``MeshIntegrals.load_transform``).
 
 Both solves prescribe values on some indices: the inlet and outlet
 pressures, and the supports.  ``Pattern.solve`` is the one Dirichlet solve

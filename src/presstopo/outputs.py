@@ -16,8 +16,8 @@ from .errors import InvalidArgumentError, PresstopoError
 from .fields import material_phase_densities
 
 _VOID_COLOR = "#ffffff"
-_SVG_WIDTH_PX = 900  # the SVG's width in pixels
-_N_ISOLINES = 9  # the pressure isolines drawn on it
+_SVG_WIDTH_PX = 900
+_N_ISOLINES = 9
 
 
 def _material_colors(m):

@@ -404,8 +404,7 @@ class TestPhysicsOverShippedShapes:
         free = np.setdiff1d(np.arange(k.shape[0]), bottom_supports(mesh))
         np.linalg.cholesky(k[np.ix_(free, free)])
 
-        flow = FlowParams()
-        flow = FlowParams(d_solid=penetration_drainage(flow,
+        flow = FlowParams(d_solid=penetration_drainage(FlowParams(),
                                                        mesh.element_height))
         a = assemble_flow(mesh, design, flow)[0].toarray()
         dirichlet = np.concatenate([mesh.boundary_node_sets["top"],
@@ -421,8 +420,7 @@ class TestPhysicsOverShippedShapes:
         rng = np.random.default_rng(seed)
         design = make_uniform_design(mesh, [0.5, 0.5])
         design.filtered = rng.uniform(0.0, 1.0, design.filtered.shape)
-        flow = FlowParams()
-        flow = FlowParams(d_solid=penetration_drainage(flow,
+        flow = FlowParams(d_solid=penetration_drainage(FlowParams(),
                                                        mesh.element_height))
         fixed = bottom_supports(mesh)
         state = analyze(design, mesh, self.mats, flow, fixed,
