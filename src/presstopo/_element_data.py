@@ -224,8 +224,9 @@ class Pattern:
 
         ``values[i]`` is prescribed on ``fixed[i]``; it and ``b`` default to
         zero.  ``tol`` is the refinement's gate on the residual.  Raises
-        ``InvalidArgumentError`` for a non-finite ``b`` or ``values``, and
-        ``RuntimeError`` when M_ff is not positive definite in float64.
+        ``InvalidArgumentError`` for a ``b`` of another shape than (n,), or a
+        non-finite ``b`` or ``values``, and ``RuntimeError`` when M_ff is not
+        positive definite in float64.
         """
         if matrix.indptr is not self.indptr:  # assembled here: shared indptr
             raise InvalidArgumentError("matrix was not assembled on this mesh")
@@ -235,7 +236,12 @@ class Pattern:
         if v.shape != fixed.shape:
             raise InvalidArgumentError(f"{v.size} fixed values for "
                                        f"{fixed.size} fixed indices")
-        b = 0.0 if b is None else b
+        if b is None:
+            b = 0.0
+        elif np.shape(b) != (n,):
+            raise InvalidArgumentError(f"right-hand side of shape "
+                                       f"{np.shape(b)} for a matrix of shape "
+                                       f"{self.shape}")
         if not (np.isfinite(b).all() and np.isfinite(v).all()):
             raise InvalidArgumentError(
                 "right-hand side and prescribed values must be finite")

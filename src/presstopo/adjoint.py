@@ -24,7 +24,7 @@ import numpy as np
 
 from ._element_data import mesh_integrals
 from .darcy import drainage_coefficient, flow_coefficient
-from .errors import SolverError
+from .errors import InvalidArgumentError, SolverError
 from .fields import modulus_derivatives
 
 
@@ -35,11 +35,16 @@ def compliance_sensitivity(mesh, materials, flow_params, state, filt,
     ``state`` is the ``ElasticState`` returned by ``driver.analyze``; the
     design with its thickness, the displacements, the pressure field and the
     pressure factorization are all read from it.  ``include_load_term=False``
-    drops the flow-adjoint contribution, for diagnostics only.  A flow
-    adjoint residual past the pressure gate, or NaN, raises ``SolverError``.
+    drops the flow-adjoint contribution, for diagnostics only.  A state
+    solved on another mesh raises ``InvalidArgumentError``; a flow adjoint
+    residual past the pressure gate, or NaN, raises ``SolverError``.
     """
     design, pressure = state.design, state.pressure
     data = mesh_integrals(mesh)
+    # the matrices assembled on a mesh share its patterns' indptr
+    if (state.K.indptr is not data.stiffness_pattern.indptr
+            or pressure.A.indptr is not data.flow_pattern.indptr):
+        raise InvalidArgumentError("state was not solved on this mesh")
     u_e = state.u[data.udofs]
     p_e = pressure.p[data.conn]
 

@@ -1,6 +1,9 @@
 """Command-line interface: run, validate, gradient-check.
 
-Exit codes: 0 success, 2 configuration error, 3 solver/optimizer failure.
+``run`` writes the convergence and design tables, and the VTK and SVG files
+that the config's ``[output]`` section asks for (``write_vtk``, ``write_svg``,
+both true by default).  Exit codes: 0 success, 2 configuration error,
+3 solver/optimizer failure.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ def build_parser():
                           f"({', '.join(builtin_config_names())})")
     run.add_argument("--output-dir", default=None)
     run.add_argument("--max-iters", type=int, default=None)
-    run.add_argument("--write-vtk", action="store_true")
-    run.add_argument("--write-svg", action="store_true")
     run.add_argument("--log-every", type=int, default=None)
 
     val = sub.add_parser("validate", help="check a config file")
@@ -85,10 +86,6 @@ def _cmd_run(args):
         cfg.validate()
     if args.log_every is not None:
         cfg.log_every = args.log_every
-    if args.write_vtk:
-        cfg.write_vtk = True
-    if args.write_svg:
-        cfg.write_svg = True
     out_dir = args.output_dir or cfg.output_directory
     every = max(cfg.log_every, 1)
 

@@ -49,11 +49,9 @@ class ProblemConfig:
     flow_beta: float = darcy.FlowParams.beta_k
     drain_eta: float = darcy.FlowParams.eta_d
     drain_beta: float = darcy.FlowParams.beta_d
-    drainage_solid: float | None = None
     drainage_remainder: float = 0.1
     drainage_depth_elements: float = 2.0
     filter_radius_elements: float = 3.0
-    filter_radius_abs: float | None = None
     max_iterations: int = 100
     move_limit: float = 0.1
     step_tolerance: float = 0.0
@@ -100,9 +98,7 @@ class ProblemConfig:
                 errors.append(f"support direction {s.directions!r} is not valid")
         if not self.supports:
             errors.append("at least one support is required")
-        radius = (self.filter_radius_elements if self.filter_radius_abs is None
-                  else self.filter_radius_abs)
-        if not 0.0 < radius < np.inf:
+        if not 0.0 < self.filter_radius_elements < np.inf:
             errors.append("filter radius must be positive and finite")
         if not (0 <= self.max_iterations < np.inf
                 and int(self.max_iterations) == self.max_iterations):
@@ -127,8 +123,8 @@ class ProblemConfig:
     def flow_params(self, element_height):
         """Flow parameters of a run on elements of ``element_height``.
 
-        Unless ``drainage_solid`` is given, the solid drainage follows the
-        penetration-depth rule (``darcy.penetration_drainage``).
+        The solid drainage follows the penetration-depth rule
+        (``darcy.penetration_drainage``).
         """
         flow = darcy.FlowParams(
             epsilon=self.flow_contrast,
@@ -137,13 +133,11 @@ class ProblemConfig:
             eta_d=self.drain_eta,
             beta_d=self.drain_beta,
         )
-        d_solid = self.drainage_solid
-        if d_solid is None:
-            d_solid = darcy.penetration_drainage(
-                flow, element_height,
-                remainder=self.drainage_remainder,
-                depth_elements=self.drainage_depth_elements,
-            )
+        d_solid = darcy.penetration_drainage(
+            flow, element_height,
+            remainder=self.drainage_remainder,
+            depth_elements=self.drainage_depth_elements,
+        )
         return replace(flow, d_solid=d_solid)
 
     @property
@@ -152,8 +146,6 @@ class ProblemConfig:
 
     @property
     def filter_radius(self):
-        if self.filter_radius_abs is not None:
-            return self.filter_radius_abs
         return self.filter_radius_elements * (self.lx / self.nex)
 
     @property
@@ -211,11 +203,9 @@ _OPTIONS = {
     ("flow", "step_beta"): ("flow_beta", float),
     ("flow", "drain_eta"): ("drain_eta", float),
     ("flow", "drain_beta"): ("drain_beta", float),
-    ("flow", "drainage_solid"): ("drainage_solid", float),
     ("flow", "drainage_remainder"): ("drainage_remainder", float),
     ("flow", "drainage_depth"): ("drainage_depth_elements", float),
     ("filter", "radius_elements"): ("filter_radius_elements", float),
-    ("filter", "radius_abs"): ("filter_radius_abs", float),
     ("optimizer", "max_iterations"): ("max_iterations", int),
     ("optimizer", "move_limit"): ("move_limit", float),
     ("optimizer", "step_tolerance"): ("step_tolerance", float),
@@ -227,10 +217,6 @@ _OPTIONS = {
     ("output", "initial_design"): ("initial_design", str),
 }
 _REQUIRED = ("lx", "ly", "nex", "ney", "e_moduli")
-# options that set one thing two ways; a file sets at most one of each pair
-_ALTERNATIVES = ((("filter", "radius_elements"), ("filter", "radius_abs")),
-                 (("flow", "drainage_solid"), ("flow", "drainage_remainder")),
-                 (("flow", "drainage_solid"), ("flow", "drainage_depth")))
 
 
 def load_config(path) -> ProblemConfig:
@@ -240,10 +226,10 @@ def load_config(path) -> ProblemConfig:
     'arch-3mat', 'piston-3mat').  Options it does not read are rejected, so
     a misspelt option is an error, not a silent default; so is a non-finite
     number (``nan``, ``inf``), a boolean outside configparser's own table
-    (``1/yes/true/on``, ``0/no/false/off``, any case), an edge named as
-    both pressure inlet and outlet, and both options of a pair of
-    alternatives (``radius_elements`` or ``radius_abs``; ``drainage_solid``
-    or the penetration rule's ``drainage_remainder`` and ``drainage_depth``).
+    (``1/yes/true/on``, ``0/no/false/off``, any case), and an edge named as
+    both pressure inlet and outlet.  The filter radius is given in element
+    widths (``radius_elements``), and the solid drainage by the
+    penetration-depth rule (``drainage_remainder``, ``drainage_depth``).
     """
     path = Path(path)
     if not path.exists():
@@ -276,16 +262,11 @@ def load_config(path) -> ProblemConfig:
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"[{section}] {option} = {raw!r}: {exc}") from exc
 
-    options, given = {}, set()
+    options = {}
     for key, (name, cast) in _OPTIONS.items():
         value = get(*key, cast)
         if value is not None:
             options[name] = value
-            given.add(key)
-    for pair in _ALTERNATIVES:
-        if set(pair) <= given:
-            raise ConfigError("set only one of " + " and ".join(
-                f"[{section}] {option}" for section, option in pair))
     missing = [name for name in _REQUIRED if name not in options]
     if missing:
         raise ConfigError(f"missing required options: {', '.join(missing)}")

@@ -2,8 +2,11 @@
 
 Each iteration filters the design, solves the Darcy pressure field, converts
 it to nodal loads, solves the elastic problem, evaluates compliance and the
-volume measures, forms adjoint sensitivities, and takes one MMA step.  Runs
-are deterministic: the same configuration reproduces the same log.
+volume measures, forms adjoint sensitivities, and takes one MMA step.  A
+last pass of the same loop analyses the final design, so the returned fields
+match it; an error names the iteration, or the final analysis, where it
+happened.  Runs are deterministic: the same configuration reproduces the
+same log.
 """
 
 from __future__ import annotations
@@ -155,20 +158,22 @@ def run_optimization(config, progress=None):
 
     raw = initial_design(config, mesh)
     state = MmaState.for_variables(nel * m, move_limit=config.move_limit)
-
-    # volume-constraint gradients are design-independent; build them once
-    probe = make_design(raw, filt, mesh, materials)
-    dg_list = adjoint_mod.constraint_sensitivities(probe, filt)
-    dg = np.stack([grad.ravel(order="F") for grad in dg_list])
-
-    objective_scale = None
+    objective_scale = dg = None
     log = RunLog()
 
-    for it in range(1, config.max_iterations + 1):
+    # each pass analyses the current design; the last one, after the final
+    # update, only analyses, so that the returned fields match the design
+    it, final = 1, config.max_iterations == 0
+    while True:
         try:
             design = make_design(raw, filt, mesh, materials)
             estate = analyze(design, mesh, materials, flow, fixed_dofs,
                              config.pressure_bc)
+            if final:
+                break
+            if dg is None:  # the volume gradients are design-independent
+                dg_list = adjoint_mod.constraint_sensitivities(design, filt)
+                dg = np.stack([grad.ravel(order="F") for grad in dg_list])
             g = fields.volume_measures(design)
             dc = adjoint_mod.compliance_sensitivity(
                 mesh, materials, flow, estate, filt
@@ -182,7 +187,9 @@ def run_optimization(config, progress=None):
                 df0 * objective_scale, g - bounds, dg, state,
             )
         except PresstopoError as exc:
-            raise type(exc)(f"iteration {it}: {exc}") from exc
+            where = (f"final analysis after {len(log.records)} iterations"
+                     if final else f"iteration {it}")
+            raise type(exc)(f"{where}: {exc}") from exc
 
         max_dx = float(np.abs(x_new - x).max())
         record = IterationRecord(
@@ -197,17 +204,10 @@ def run_optimization(config, progress=None):
         raw = x_new.reshape((nel, m), order="F")
         # free this state (K, A and the factor of A) before the next analysis
         del estate
-        if config.step_tolerance > 0 and max_dx < config.step_tolerance:
-            break
+        final = it == config.max_iterations or (
+            config.step_tolerance > 0 and max_dx < config.step_tolerance)
+        it += 1
 
-    # final analysis so returned fields match the final design
-    try:
-        design = make_design(raw, filt, mesh, materials)
-        estate = analyze(design, mesh, materials, flow, fixed_dofs,
-                         config.pressure_bc)
-    except PresstopoError as exc:
-        raise type(exc)(f"final analysis after {len(log.records)} "
-                        f"iterations: {exc}") from exc
     log.wall_time = time.perf_counter() - start
     return RunResult(log=log, design=design, pressure=estate.pressure,
                      elastic=estate, mesh=mesh, config=config)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from presstopo import (
+    InvalidArgumentError,
     compliance_sensitivity,
     config,
     constraint_sensitivities,
@@ -167,6 +170,27 @@ class TestComplianceSensitivity:
                                          include_load_term=False)
         diff = np.linalg.norm(full - dropped) / np.linalg.norm(full)
         assert diff > 1e-3
+
+    def test_state_of_another_mesh_rejected(self):
+        # two meshes with the same node and element counts and another
+        # element shape: a state of one would give a wrong gradient on the
+        # other, with no error
+        def solved(lx):
+            cfg = arch_config(nex=6, ney=4, **dict(ASPECTS["piston"], lx=lx))
+            mesh, filt, materials, flow, fixed = driver.build_problem(cfg)
+            raw = driver.initial_design(cfg, mesh)
+            design = driver.make_design(raw, filt, mesh, materials)
+            state = driver.analyze(design, mesh, materials, flow, fixed,
+                                   cfg.pressure_bc)
+            return mesh, materials, flow, filt, state
+
+        mesh, materials, flow, filt, own = solved(0.12)
+        other = solved(0.3)[-1]
+        for state in (other, replace(own, K=other.K),
+                      replace(own, pressure=other.pressure)):
+            with pytest.raises(InvalidArgumentError, match="this mesh"):
+                compliance_sensitivity(mesh, materials, flow, state, filt)
+        compliance_sensitivity(mesh, materials, flow, own, filt)
 
 
 class TestConstraintSensitivities:

@@ -651,6 +651,24 @@ class TestRefinedSolve:
             solve_displacements(k, f, mesh, fixed)
         assert spy.calls == []
 
+    @pytest.mark.parametrize("shape_of", [lambda n: (1,), lambda n: (n - 1,),
+                                          lambda n: (n, 1)],
+                             ids=["one_entry", "short", "column"])
+    def test_load_of_wrong_shape_rejected_unfactored(self, monkeypatch,
+                                                     shape_of):
+        # a one-entry load would broadcast over every DOF, and a short or
+        # column one fail only after the factorization
+        mesh, design, fixed, rng = self._problem(5, nex=5, ney=4)
+        k = assemble_stiffness(mesh, design, MATS)
+        n = k.shape[0]
+        shape = shape_of(n)
+        spy = SpyFactor(monkeypatch)
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape(f"{shape} for a matrix of shape "
+                                           f"{(n, n)}")):
+            solve_displacements(k, rng.normal(size=shape), mesh, fixed)
+        assert spy.calls == []
+
     def test_nan_residual_engages_fallback(self, monkeypatch):
         mesh, design, fixed, rng = self._problem(3)
         spy = SpyFactor(monkeypatch, nan32=True)

@@ -98,8 +98,6 @@ class TestValidate:
 
     @pytest.mark.parametrize("section, option, value", [
         ("materials", "simp_penalty", "-3"),
-        ("filter", "radius_abs", "-0.01"),
-        ("flow", "drainage_solid", "-1"),
         ("flow", "step_eta", "1.5"),
         ("flow", "drain_beta", "-2"),
         ("flow", "drainage_remainder", "2"),
@@ -128,32 +126,21 @@ class TestValidate:
          "[supports] roller_y"),
         ("[optimizer]", "[flow]\nvoid_coefficient = 1.0\n\n[optimizer]",
          "[flow] void_coefficient"),
-    ], ids=["roller_x", "roller_y", "void_coefficient"])
+        ("[optimizer]", "[filter]\nradius_abs = 0.01\n\n[optimizer]",
+         "[filter] radius_abs"),
+        ("[optimizer]", "[flow]\ndrainage_solid = 5\n\n[optimizer]",
+         "[flow] drainage_solid"),
+    ], ids=["roller_x", "roller_y", "void_coefficient", "radius_abs",
+            "drainage_solid"])
     def test_removed_option_rejected(self, tmp_path, capsys, old, new, named):
         # a roller is ``fixed = edge:lo:hi:x|y``; the void flow coefficient
-        # cannot change a run
+        # cannot change a run; the radius is set in element widths
+        # (``radius_elements``) and the solid drainage by the penetration
+        # rule (``drainage_remainder``, ``drainage_depth``)
         path = tmp_path / "old.cfg"
         path.write_text(TINY_CONFIG.replace(old, new))
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
         assert named in capsys.readouterr().err
-
-    @pytest.mark.parametrize("section, first, second", [
-        ("filter", "radius_elements = 3.0", "radius_abs = 0.01"),
-        ("flow", "drainage_solid = 5", "drainage_remainder = 0.5"),
-        ("flow", "drainage_solid = 5", "drainage_depth = 4"),
-    ], ids=["radius", "drainage_remainder", "drainage_depth"])
-    def test_alternatives_set_together_rejected(self, tmp_path, capsys,
-                                                section, first, second):
-        path = tmp_path / "both.cfg"
-        path.write_text(TINY_CONFIG + f"\n[{section}]\n{first}\n{second}\n")
-        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        for option in (first, second):
-            assert f"[{section}] {option.split(' =')[0]}" in err
-        # either one alone is accepted
-        for option in (first, second):
-            path.write_text(TINY_CONFIG + f"\n[{section}]\n{option}\n")
-            assert main(["validate", "--config", str(path)]) == EXIT_OK
 
     @pytest.mark.parametrize("inlet, outlet, named", [
         ("top", "top", "'top'"),
@@ -237,13 +224,24 @@ class TestRun:
     def test_run_writes_outputs(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "results"
         code = main(["run", "--config", str(tiny_config),
-                     "--output-dir", str(out), "--write-vtk", "--write-svg"])
+                     "--output-dir", str(out)])
         assert code == EXIT_OK
         for name in ("convergence.csv", "design.csv", "final.vtk",
                      "final.svg"):
             assert (out / name).exists()
         lines = (out / "convergence.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 iterations
+
+    @pytest.mark.parametrize("flag", ["--write-vtk", "--write-svg"])
+    def test_removed_flag_rejected(self, tiny_config, tmp_path, capsys,
+                                   flag):
+        # the outputs are set in the config's [output] section
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(tiny_config),
+                  "--output-dir", str(tmp_path / "out"), flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         # validates fine but leaves fewer than three constrained DOFs

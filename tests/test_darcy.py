@@ -243,6 +243,38 @@ class TestSolvePressure:
         # exponential-decay oracle within discretization slack
         assert ratio == pytest.approx(0.1, abs=0.02)
 
+    # p at two element heights below the inlet of a solid strip; the
+    # penetration rule aims at 0.1, and the element shape sets the rest
+    SOLID_AT_TWO_HEIGHTS = {"piston": 0.105063, "arch": 0.098323}
+
+    # one column only: with more, the staggered top edge leaves some top
+    # nodes free, and the void strip's p is not linear in y (up to 0.26 p_in
+    # off)
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(ney=st.integers(8, 40), shape=st.sampled_from(["piston", "arch"]))
+    def test_strips_of_shipped_shapes(self, ney, shape):
+        mesh = shipped_shape_mesh(1, ney, shape)
+        flow = FlowParams(d_solid=penetration_drainage(FlowParams(),
+                                                       mesh.element_height))
+        y = mesh.nodes[:, 1]
+        void = solve_strip(mesh, 0.0, flow)
+        # worst over both shapes and ney 8..40: 2.1e-14 p_in
+        assert np.abs(void.p - P_IN * y / mesh.Ly).max() <= 1e-12 * P_IN
+
+        solid = solve_strip(mesh, 1.0, flow)
+        at_depth = np.isclose(y, mesh.Ly - 2.0 * mesh.element_height,
+                              rtol=0.0, atol=1e-12 * mesh.Ly)
+        assert at_depth.sum() == 2
+        # the same for every length: over ney 8..40 the values lie within
+        # 1.4e-7 p_in of each other, 5e-7 p_in of the listed value
+        assert solid.p[at_depth] / P_IN == pytest.approx(
+            self.SOLID_AT_TWO_HEIGHTS[shape], abs=1e-6)
+        # these strips keep 0 <= p <= p_in (the smallest free value over
+        # ney 8..40 is +7e-16 Pa); the piston shape breaks the bound on
+        # wider meshes (ROADMAP item 3)
+        assert solid.p.min() >= -1e-12 * P_IN
+        assert solid.p.max() <= P_IN * (1 + 1e-12)
+
     def test_constant_bc_gives_constant_field(self):
         mesh = strip_mesh(n=10)
         params = FlowParams(d_solid=0.0)  # pure diffusion

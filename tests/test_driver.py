@@ -258,20 +258,15 @@ class TestConfigValidation:
     def test_filter_radius_rule(self):
         cfg = arch_config(nex=10, filter_radius_elements=3.0)
         assert cfg.filter_radius == pytest.approx(3.0 * cfg.lx / 10)
-        cfg = arch_config(filter_radius_abs=0.004)
-        assert cfg.filter_radius == 0.004
-        for radius in ({"filter_radius_abs": np.nan},
-                       {"filter_radius_elements": np.inf}):
-            with pytest.raises(ConfigError, match="filter radius"):
-                arch_config(**radius)
+        with pytest.raises(ConfigError, match="filter radius"):
+            arch_config(filter_radius_elements=np.inf)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", [
         "lx", "ly", "thickness", "nu", "simp_penalty", "flow_contrast",
         "flow_eta", "flow_beta", "drain_eta", "drain_beta",
-        "drainage_solid", "drainage_remainder",
-        "drainage_depth_elements", "filter_radius_elements",
-        "filter_radius_abs", "move_limit", "step_tolerance"])
+        "drainage_remainder", "drainage_depth_elements",
+        "filter_radius_elements", "move_limit", "step_tolerance"])
     def test_non_finite_field_rejected(self, name, value):
         with pytest.raises(ConfigError):
             arch_config(**{name: value})
