@@ -47,6 +47,14 @@ go through one refinement loop, whose last ||c_f - M_ff x_f|| / ||c_f||
 the displacement solve gates on (``MixedCholesky.residual``).  Only the
 tree knows the elimination order: vectors go in and out in the pattern's
 numbering.
+
+A solve may also refine from the factor of a nearby matrix on the same
+tree, with the same fixed unknowns (``near``), and factor nothing of its
+own: refinement converges from any factor whose preconditioned operator
+stays a contraction (Carson & Higham 2018), and a factor of a matrix a
+finite-difference step away does.  The residual gate and the one float64
+fallback stay the solve's own, so a ``near`` too far away costs one
+factorization and changes no result beyond the gate.
 """
 
 from __future__ import annotations
@@ -215,7 +223,7 @@ class Pattern:
         built on first use."""
         return EliminationTree(self)
 
-    def solve(self, matrix, tol, fixed, b=None, values=None):
+    def solve(self, matrix, tol, fixed, b=None, values=None, near=None):
         """Solve ``matrix`` x = ``b`` with x = ``values`` on the ``fixed``
         indices (from ``check_fixed``); returns x and the ``MixedCholesky``
         of ``matrix``, whose ``residual`` is ||c_f - M_ff x_f|| / ||c_f||
@@ -223,10 +231,13 @@ class Pattern:
         elsewhere.
 
         ``values[i]`` is prescribed on ``fixed[i]``; it and ``b`` default to
-        zero.  ``tol`` is the refinement's gate on the residual.  Raises
-        ``InvalidArgumentError`` for a ``b`` of another shape than (n,), or a
-        non-finite ``b`` or ``values``, and ``RuntimeError`` when M_ff is not
-        positive definite in float64.
+        zero.  ``tol`` is the refinement's gate on the residual.  ``near``,
+        the ``MixedCholesky`` of a nearby matrix on this pattern with the
+        same fixed indices, is refined from instead of factoring ``matrix``
+        (see ``MixedCholesky``).  Raises ``InvalidArgumentError`` for a
+        ``b`` of another shape than (n,), a non-finite ``b`` or ``values``,
+        or a ``near`` of another pattern, other fixed indices or released,
+        and ``RuntimeError`` when M_ff is not positive definite in float64.
         """
         if matrix.indptr is not self.indptr:  # assembled here: shared indptr
             raise InvalidArgumentError("matrix was not assembled on this mesh")
@@ -248,7 +259,7 @@ class Pattern:
         c = b - matrix @ np.bincount(fixed, weights=v, minlength=n)
         mask = np.zeros(n, dtype=bool)
         mask[fixed] = True
-        factor = MixedCholesky(matrix, mask, tol, self.tree)
+        factor = MixedCholesky(matrix, mask, tol, self.tree, near)
         x = factor(c)
         x[fixed] = v
         return x, factor
@@ -527,29 +538,50 @@ class MixedCholesky:
     raises ``RuntimeError``.  ``steps`` holds the refinement steps of the
     last solve, ``residual`` its ||b_f - M_ff x_f|| / ||b_f||, both from the
     factor that produced x, and ``nnz`` the stored entries of that factor.
+    ``release`` frees the factor and keeps these numbers.
+
+    With ``near``, the ``MixedCholesky`` of a nearby matrix on the same
+    ``tree`` with an equal ``fixed``, M is not factored: its solves refine
+    from ``near``'s factor, float32 or float64, which is shared, not copied.
+    The gate and the fallback are the same, so a refined result that misses
+    ``tol`` factors M once in float64.  A ``near`` on another tree, with
+    other fixed unknowns or released raises ``InvalidArgumentError``.
     """
 
-    def __init__(self, matrix, fixed, tol, tree):
+    def __init__(self, matrix, fixed, tol, tree, near=None):
         self.matrix, self.fixed, self.tol = matrix, fixed, tol
         self._tree = tree
         self.steps = self.fallbacks = 0
+        if near is not None:
+            if near._tree is not tree:
+                raise InvalidArgumentError("near factor is of another pattern")
+            if not np.array_equal(near.fixed, fixed):
+                raise InvalidArgumentError(
+                    "near factor has other fixed unknowns")
+            if near._chol is None:
+                raise InvalidArgumentError("near factor was released")
+            self._use(near._chol)
+            return
         try:
-            self._chol = Cholesky(tree, matrix.data, fixed, np.float32)
+            self._use(Cholesky(tree, matrix.data, fixed, np.float32))
         except np.linalg.LinAlgError:  # not positive definite in float32
             self._factor64()
 
-    @property
-    def nnz(self):
-        return self._chol.nnz
+    def _use(self, chol):
+        self._chol, self.nnz = chol, chol.nnz
 
     def _factor64(self):
         self.fallbacks += 1
         try:
-            self._chol = Cholesky(self._tree, self.matrix.data, self.fixed,
-                                  np.float64)
+            self._use(Cholesky(self._tree, self.matrix.data, self.fixed,
+                               np.float64))
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"matrix is not positive definite: {exc}") \
                 from exc
+
+    def release(self):
+        """Free the factor; a later solve, or a solve ``near`` it, fails."""
+        self._chol = None
 
     def _residual(self, b, x):
         """b - M x on the free unknowns, zero on the fixed ones."""

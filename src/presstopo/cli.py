@@ -131,15 +131,17 @@ def _cmd_gradient_check(args):
     rng = np.random.default_rng(2024)
     raw = rng.uniform(0.15, 0.85, size=(mesh.n_elements, cfg.n_materials))
 
-    def compliance_of(raw_vars):
-        design = driver.make_design(raw_vars, filt, mesh, materials)
-        return driver.analyze(design, mesh, materials, flow, fixed_dofs,
-                              cfg.pressure_bc).compliance
-
     design = driver.make_design(raw, filt, mesh, materials)
     estate = driver.analyze(design, mesh, materials, flow, fixed_dofs,
                             cfg.pressure_bc)
     grad = adjoint.compliance_sensitivity(mesh, materials, flow, estate, filt)
+
+    def compliance_of(raw_vars):
+        # each design is h from the check design: refine from its factors
+        design = driver.make_design(raw_vars, filt, mesh, materials)
+        return driver.analyze(design, mesh, materials, flow, fixed_dofs,
+                              cfg.pressure_bc, near=estate).compliance
+
     fd = np.zeros_like(grad)
     for j in range(grad.shape[1]):
         for e in range(mesh.n_elements):

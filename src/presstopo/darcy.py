@@ -143,13 +143,16 @@ def assemble_flow(mesh, design, params: FlowParams):
     return a, data.load_transform(design.thickness)
 
 
-def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
+def solve_pressure(A, T, mesh, pressure_bc, near=None) -> PressureState:
     """Impose Dirichlet pressures on named boundary edges and solve A p = 0.
 
     ``pressure_bc`` maps edge names ('top', 'bottom', 'left', 'right') to
     pressure values in Pa; ``A`` comes from ``assemble_flow`` on ``mesh``.
     Returns the solved ``PressureState``, whose ``factor`` the adjoint
     reuses; a non-finite pressure is rejected before anything is factored.
+    ``near``, the ``factor`` of a ``PressureState`` solved on ``mesh`` with
+    the same Dirichlet edges, is refined from instead of factoring A
+    (``Pattern.solve``); the residual gate is the same.
     """
     node_sets = []
     for edge in pressure_bc:
@@ -165,7 +168,7 @@ def solve_pressure(A, T, mesh, pressure_bc) -> PressureState:
                        [nodes.size for nodes in node_sets])
     try:
         p, factor = mesh_integrals(mesh).flow_pattern.solve(
-            A, _RESIDUAL_TOL, fixed, values=values)
+            A, _RESIDUAL_TOL, fixed, values=values, near=near)
     except RuntimeError as exc:
         free = np.ones(A.shape[0], dtype=bool)
         free[fixed] = False

@@ -128,21 +128,43 @@ def make_design(raw, filt, mesh, materials):
     return fields.DesignField(raw, filt.apply(raw), mesh.element_areas() * t, t)
 
 
-def analyze(design, mesh, materials, flow, fixed_dofs, pressure_bc):
+def analyze(design, mesh, materials, flow, fixed_dofs, pressure_bc,
+            near=None):
     """Solve the coupled flow/elasticity problem for one design.
 
-    The returned ``ElasticState`` holds ``design`` and its ``PressureState``.
+    The returned ``ElasticState`` holds ``design``, its ``PressureState``
+    and the factor of K.  ``near``, the ``ElasticState`` of a nearby design
+    analysed with the same mesh, materials, flow, supports and pressure
+    values, spares the factorizations: K's solve refines from
+    ``near.factor``, and A's from ``near.pressure.factor``.  The flow
+    depends on the design only through rho1 and the thickness, so where both
+    are bitwise those of ``near.design``, ``near.pressure`` and its loads
+    are reused outright.  Every solve keeps its residual gate.
     """
-    a, t = darcy.assemble_flow(mesh, design, flow)
-    pstate = darcy.solve_pressure(a, t, mesh, pressure_bc)
-    force = darcy.pressure_loads(t, pstate.p)
+    if near is not None and _same_bits(
+            (design.filtered[:, 0], design.thickness),
+            (near.design.filtered[:, 0], near.design.thickness)):
+        pstate, force = near.pressure, near.F
+    else:
+        a, t = darcy.assemble_flow(mesh, design, flow)
+        pstate = darcy.solve_pressure(
+            a, t, mesh, pressure_bc,
+            near=None if near is None else near.pressure.factor)
+        force = darcy.pressure_loads(t, pstate.p)
     stiffness = elasticity.assemble_stiffness(mesh, design, materials)
-    u, compliance = elasticity.solve_displacements(stiffness, force, mesh,
-                                                   fixed_dofs)
+    u, compliance, factor = elasticity.solve_displacements(
+        stiffness, force, mesh, fixed_dofs,
+        near=None if near is None else near.factor)
     return elasticity.ElasticState(
         K=stiffness, u=u, F=force, fixed_dofs=fixed_dofs,
-        compliance=compliance, design=design, pressure=pstate,
+        compliance=compliance, design=design, pressure=pstate, factor=factor,
     )
+
+
+def _same_bits(arrays, others):
+    """Whether each array has the bytes of its counterpart."""
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+               for a, b in zip(arrays, others))
 
 
 def run_optimization(config, progress=None):
@@ -169,6 +191,8 @@ def run_optimization(config, progress=None):
             design = make_design(raw, filt, mesh, materials)
             estate = analyze(design, mesh, materials, flow, fixed_dofs,
                              config.pressure_bc)
+            # hold no factor of K past its solve: nothing here refines from it
+            estate.factor.release()
             if final:
                 break
             if dg is None:  # the volume gradients are design-independent

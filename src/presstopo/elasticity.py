@@ -6,13 +6,16 @@ entries into the mesh's fixed stiffness pattern with one ``np.bincount``.
 ``solve_displacements(K, F, mesh, fixed_dofs)`` solves K u = F by
 ``Pattern.solve`` of the stiffness pattern: a float32 factor of K, with the
 supports as unit pivots, refined in float64 on the free DOFs and gated on
-its residual.  Supports that leave a rigid-body mode free, and non-finite
-loads or prescribed values, are rejected before anything is factored.
+its residual, or refined from the factor of a nearby K (``near``).  It
+returns that refined solve with u and the compliance, and ``ElasticState``
+holds it as ``factor``.  Supports that leave a rigid-body mode free, and
+non-finite loads or prescribed values, are rejected before anything is
+factored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +34,9 @@ _RIGID_MODES = ("x-translation", "y-translation", "rotation")
 class ElasticState:
     """Stiffness, displacements, loads and compliance solved for ``design``,
     loaded by the field of ``pressure`` (F = -T p) solved for the same design.
+    ``factor`` is the ``MixedCholesky`` that solved K u = F, as
+    ``PressureState.factor`` is A's; ``driver.run_optimization`` releases it
+    once the analysis returns, keeping its solve statistics.
     """
 
     K: sp.csr_matrix
@@ -40,6 +46,7 @@ class ElasticState:
     compliance: float
     design: DesignField
     pressure: PressureState
+    factor: object = field(repr=False)
 
 
 def element_stiffness(element_vertices, e_modulus, nu, thickness):
@@ -66,8 +73,10 @@ def assemble_stiffness(mesh, design, materials):
         e_elem[:, None, None] * data.stiffness(materials.nu, design.thickness))
 
 
-def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
-    """Solve K u = F with Dirichlet DOFs eliminated; return (u, compliance).
+def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None,
+                        near=None):
+    """Solve K u = F with Dirichlet DOFs eliminated; return (u, compliance,
+    factor), ``factor`` the ``MixedCholesky`` of K that solved it.
 
     ``K`` comes from ``assemble_stiffness`` on ``mesh``.  ``fixed_values[i]``
     is prescribed on ``fixed_dofs[i]``, in the order the DOFs are passed, and
@@ -78,6 +87,8 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
     K_ff u_f = F_f - K_fd v is solved by ``Pattern.solve``; its
     ``MixedCholesky.residual``,
     ||K_ff u_f - (F_f - K_fd v)|| / ||F_f - K_fd v||, must be at most 1e-9.
+    ``near``, the factor of a K solved on ``mesh`` with the same supports,
+    is refined from instead of factoring ``K``, under the same gate.
     """
     F = np.asarray(F, dtype=float)
     pattern = mesh_integrals(mesh).stiffness_pattern
@@ -87,7 +98,8 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
         raise SingularSystemError(
             f"supports leave a rigid-body mode free: {', '.join(free_modes)}")
     try:
-        u, factor = pattern.solve(K, _RESIDUAL_TOL, fixed, F, fixed_values)
+        u, factor = pattern.solve(K, _RESIDUAL_TOL, fixed, F, fixed_values,
+                                  near)
     except RuntimeError as exc:
         raise SingularSystemError("stiffness matrix is singular") from exc
     if not np.all(np.isfinite(u)):
@@ -98,7 +110,7 @@ def solve_displacements(K, F, mesh, fixed_dofs, fixed_values=None):
             f"{_RESIDUAL_TOL:.1e}"
         )
     compliance = float(u @ F)
-    return u, compliance
+    return u, compliance, factor
 
 
 def _free_rigid_modes(mesh, dofs):

@@ -515,7 +515,7 @@ class TestRefinedSolve:
         for _ in range(2):
             k = assemble_stiffness(mesh, design, MATS)
             f = rng.normal(size=k.shape[0])
-            u, _ = solve_displacements(k, f, mesh, fixed)
+            u, _, _ = solve_displacements(k, f, mesh, fixed)
             assert relative_error(u[free], float64_solve(k, free, f[free])) \
                 <= 1e-12
 
@@ -625,7 +625,7 @@ class TestRefinedSolve:
         k = assemble_stiffness(mesh, design, MATS)
         f = rng.normal(size=k.shape[0])
         spy = SpyFactor(monkeypatch, nan32=True, scale64=1.0 + 1e-6)
-        u, _ = solve_displacements(k, f, mesh, fixed)
+        u, _, _ = solve_displacements(k, f, mesh, fixed)
         free = np.setdiff1d(np.arange(k.shape[0]), fixed)
         assert relative_error(u[free], float64_solve(k, free, f[free])) \
             <= 1e-12
@@ -674,7 +674,7 @@ class TestRefinedSolve:
         spy = SpyFactor(monkeypatch, nan32=True)
         k = assemble_stiffness(mesh, design, MATS)
         f = rng.normal(size=k.shape[0])
-        u, _ = solve_displacements(k, f, mesh, fixed)
+        u, _, _ = solve_displacements(k, f, mesh, fixed)
         free = np.setdiff1d(np.arange(k.shape[0]), fixed)
         assert np.all(np.isfinite(u))
         assert spy.calls == [np.float32, np.float64]
@@ -712,6 +712,78 @@ class TestRefinedSolve:
         _, stalled = pattern.solve(k, 1e-9, fixed, f)
         assert stalled.fallbacks == 1
         assert stalled.nnz == factor.nnz
+
+
+class TestNearFactor:
+    """A solve refined from the factor of a nearby matrix on the same tree
+    factors nothing of its own, and keeps its gate and its fallback."""
+
+    def _problem(self, seed):
+        mesh, design, fixed, rng = TestRefinedSolve()._problem(seed)
+        k = assemble_stiffness(mesh, design, MATS)
+        pattern = mesh_integrals(mesh).stiffness_pattern
+        f = rng.normal(size=k.shape[0])
+        _, factor = pattern.solve(k, 1e-9, fixed, f)
+        return mesh, design, fixed, rng, k, pattern, f, factor
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_perturbed_matrix_meets_gate_unfactored(self, monkeypatch, seed):
+        mesh, design, fixed, rng, k, pattern, f, near = self._problem(seed)
+        # a finite-difference step on every filtered density
+        design.filtered = design.filtered + rng.choice([-1e-6, 1e-6],
+                                                       design.filtered.shape)
+        k2 = assemble_stiffness(mesh, design, MATS)
+        assert np.abs(k2.data - k.data).max() > 0
+        spy = SpyFactor(monkeypatch)
+        y, factor = pattern.solve(k2, 1e-9, fixed, f, near=near)
+        assert spy.calls == []
+        assert factor.fallbacks == 0 and factor.nnz == near.nnz
+        assert factor.residual <= 1e-9
+        free = ~factor.fixed
+        rhs = f[free]
+        assert factor.residual == pytest.approx(
+            np.linalg.norm(rhs - k2[free][:, free] @ y[free])
+            / np.linalg.norm(rhs), rel=1e-6)
+        assert relative_error(y[free], float64_solve(k2, free, rhs)) <= 1e-12
+
+    def test_far_factor_falls_back_once(self, monkeypatch):
+        # refining M from the factor of 10 M shrinks the error by only 0.9 a
+        # step, so the gate is missed and M is factored once in float64
+        mesh, design, fixed, rng, k, pattern, f, _ = self._problem(2)
+        ten = sp.csr_matrix((10.0 * k.data, k.indices, k.indptr),
+                            shape=k.shape)
+        _, far = pattern.solve(ten, 1e-9, fixed, f)
+        spy = SpyFactor(monkeypatch)
+        y, factor = pattern.solve(k, 1e-9, fixed, f, near=far)
+        assert spy.calls == [np.float64]
+        assert factor.fallbacks == 1 and factor.residual <= 1e-9
+        free = ~factor.fixed
+        assert relative_error(y[free], float64_solve(k, free, f[free])) \
+            <= 1e-12
+        assert far.fallbacks == 0  # near's own factor is untouched
+
+    def test_near_of_other_tree_or_fixed_mask_rejected(self, monkeypatch):
+        mesh, design, fixed, rng, k, pattern, f, near = self._problem(0)
+        other_mesh, other_design, other_fixed, *_ = \
+            TestRefinedSolve()._problem(0, nex=5, ney=5)
+        other_k = assemble_stiffness(other_mesh, other_design, MATS)
+        _, other_tree = mesh_integrals(other_mesh).stiffness_pattern.solve(
+            other_k, 1e-9, other_fixed, rng.normal(size=other_k.shape[0]))
+        _, other_mask = pattern.solve(k, 1e-9, fixed[1:], f)
+        flow = solve_pressure(*assemble_flow(mesh, design, FLOW), mesh,
+                              {"top": 1e5, "bottom": 0.0}).factor
+        _, released = pattern.solve(k, 1e-9, fixed, f)
+        released.release()
+        spy = SpyFactor(monkeypatch)
+        for bad, reason in ((other_tree, "another pattern"),
+                            (other_mask, "other fixed"),
+                            (flow, "another pattern"),
+                            (released, "released")):
+            with pytest.raises(InvalidArgumentError, match=reason):
+                pattern.solve(k, 1e-9, fixed, f, near=bad)
+            with pytest.raises(InvalidArgumentError, match=reason):
+                solve_displacements(k, f, mesh, fixed, near=bad)
+        assert spy.calls == []
 
 
 # a mesh within one leaf front, a few leaf fronts, a thin strip, and one

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from presstopo import FlowParams, MaterialSet
+from presstopo import FlowParams, MaterialSet, _element_data
 from presstopo.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from presstopo.config import (
     ProblemConfig,
@@ -287,6 +287,24 @@ class TestGradientCheck:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "PASS" in out
+
+    def test_check_design_factors_serve_every_analysis(self, tiny_config,
+                                                       capsys, monkeypatch):
+        # 1 + 2 * 20 * 2 analyses, and only the check design's factors A
+        # and K, once each: every other analysis refines from them
+        sizes = []
+        init = _element_data.Cholesky.__init__
+
+        def counted(self, tree, *args):
+            sizes.append(tree.n)
+            init(self, tree, *args)
+
+        monkeypatch.setattr(_element_data.Cholesky, "__init__", counted)
+        code = main(["gradient-check", "--config", str(tiny_config),
+                     "--elements", "5x4"])
+        assert code == EXIT_OK
+        assert "PASS" in capsys.readouterr().out
+        assert len(sizes) == 2 and sizes[1] == 2 * sizes[0]
 
     def test_zero_gradient_fails(self, tmp_path, capsys):
         # no pressure difference: zero load, so every component is zero and

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presstopo import (ConfigError, DesignField, FlowParams, MaterialSet,
-                       build_filter, compliance_sensitivity, generate_mesh,
-                       volume_measures)
-from presstopo import driver
+from presstopo import (ConfigError, DesignField, FlowParams,
+                       InvalidArgumentError, MaterialSet, build_filter,
+                       compliance_sensitivity, generate_mesh, volume_measures)
+from presstopo import _element_data, darcy, driver
 from presstopo.config import SupportSpec
 
 from conftest import arch_config
@@ -236,6 +236,82 @@ class TestStateLifetime:
         # three iterations and the final analysis, whose state is returned
         assert len(refs) == 4
         assert refs[-1]() is result.elastic
+
+
+class TestNearAnalysis:
+    """``analyze(..., near=ref)`` refines from the factors of ``ref``, and
+    reuses its pressure where rho1 and the thickness are unchanged."""
+
+    @pytest.fixture()
+    def spy(self, monkeypatch):
+        """Counts the factorizations and the calls of both flow layers."""
+        calls = {"factor": 0, "assemble_flow": 0, "solve_pressure": 0}
+
+        def counted(name, original):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(_element_data, "Cholesky",
+                            counted("factor", _element_data.Cholesky))
+        for name in ("assemble_flow", "solve_pressure"):
+            monkeypatch.setattr(darcy, name, counted(name,
+                                                     getattr(darcy, name)))
+        return calls
+
+    @staticmethod
+    def _analyze(fx, column, near, stretch=None, h=1e-6):
+        raw = fx["raw"].copy()
+        raw[7, column] += h
+        design = driver.make_design(raw, fx["filt"], fx["mesh"],
+                                    fx["materials"])
+        if stretch is not None:  # scale the thickness
+            thickness = stretch * design.thickness
+            design = DesignField(design.raw, design.filtered,
+                                 fx["mesh"].element_areas() * thickness,
+                                 thickness)
+        return driver.analyze(design, fx["mesh"], fx["materials"], fx["flow"],
+                              fx["fixed"], fx["cfg"].pressure_bc, near=near)
+
+    def test_unchanged_rho1_reuses_pressure(self, arch_fixture, spy):
+        ref = arch_fixture["estate"]
+        state = self._analyze(arch_fixture, 1, ref)
+        assert np.array_equal(state.design.filtered[:, 0],
+                              ref.design.filtered[:, 0])
+        assert not np.array_equal(state.design.filtered, ref.design.filtered)
+        assert state.pressure is ref.pressure and state.F is ref.F
+        assert spy == {"factor": 0, "assemble_flow": 0, "solve_pressure": 0}
+        assert state.factor.residual <= 1e-9 and state.factor.fallbacks == 0
+
+    @pytest.mark.parametrize("column, stretch", [(0, None), (1, 1 + 1e-9)],
+                             ids=["rho1", "thickness"])
+    def test_changed_flow_is_solved(self, arch_fixture, spy, column,
+                                    stretch):
+        ref = arch_fixture["estate"]
+        state = self._analyze(arch_fixture, column, ref, stretch)
+        assert spy == {"factor": 0, "assemble_flow": 1, "solve_pressure": 1}
+        assert state.pressure is not ref.pressure
+        assert state.pressure.factor.fallbacks == 0
+        assert state.factor.residual <= 1e-9 and state.factor.fallbacks == 0
+        plain = self._analyze(arch_fixture, column, None, stretch)
+        assert spy["factor"] == 2 and plain.factor.residual <= 1e-9
+        # each solve meets its gate, A's 1e-10 and K's 1e-9
+        p, p_plain = state.pressure.p, plain.pressure.p
+        assert np.linalg.norm(p - p_plain) <= 1e-10 * np.linalg.norm(p_plain)
+        assert state.compliance == pytest.approx(plain.compliance, rel=1e-9)
+
+    def test_released_factor_is_no_near(self):
+        cfg = arch_config(nex=5, ney=4, max_iterations=1)
+        result = driver.run_optimization(cfg)
+        # run_optimization keeps the statistics of K's solve, not its factor
+        assert result.elastic.factor.residual <= 1e-9
+        mesh = result.mesh
+        with pytest.raises(InvalidArgumentError, match="released"):
+            driver.analyze(result.design, mesh, cfg.materials(),
+                           cfg.flow_params(mesh.element_height),
+                           result.elastic.fixed_dofs, cfg.pressure_bc,
+                           near=result.elastic)
 
 
 class TestConfigValidation:

@@ -154,7 +154,7 @@ class TestSolveDisplacements:
 
     def test_zero_force_zero_displacement(self, mesh_5x4):
         k, fixed = self._system(mesh_5x4)
-        u, c = solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4, fixed)
+        u, c, _ = solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4, fixed)
         assert np.all(u == 0.0)
         assert c == 0.0
 
@@ -167,7 +167,7 @@ class TestSolveDisplacements:
         top = mesh.boundary_node_sets["top"][0]
         f = np.zeros(k.shape[0])
         f[2 * top + 1] = -1.0  # unit nodal load
-        u, c = solve_displacements(k, f, mesh, fixed)
+        u, c, _ = solve_displacements(k, f, mesh, fixed)
         free = np.setdiff1d(np.arange(k.shape[0]), fixed)
         dense = np.zeros(k.shape[0])
         dense[free] = np.linalg.solve(k[free][:, free].toarray(), f[free])
@@ -181,7 +181,7 @@ class TestSolveDisplacements:
         k, fixed = self._system(mesh)
         rng = np.random.default_rng(1)
         f = rng.normal(size=k.shape[0])
-        u, c = solve_displacements(k, f, mesh, fixed)
+        u, c, _ = solve_displacements(k, f, mesh, fixed)
         free = np.setdiff1d(np.arange(k.shape[0]), fixed)
         dense = np.zeros(k.shape[0])
         dense[free] = np.linalg.solve(k[free][:, free].toarray(), f[free])
@@ -196,9 +196,9 @@ class TestSolveDisplacements:
         fixed = np.sort(np.concatenate([2 * bottom, 2 * bottom + 1]))
         rng = np.random.default_rng(2)
         f = rng.normal(size=2 * mesh_5x4.n_nodes)
-        _, c1 = solve_displacements(
+        _, c1, _ = solve_displacements(
             assemble_stiffness(mesh_5x4, design, soft), f, mesh_5x4, fixed)
-        _, c2 = solve_displacements(
+        _, c2, _ = solve_displacements(
             assemble_stiffness(mesh_5x4, design, stiff), f, mesh_5x4, fixed)
         assert c2 == pytest.approx(0.5 * c1, rel=1e-9)
 
@@ -213,7 +213,7 @@ class TestSolveDisplacements:
         bottom = mesh_5x4.boundary_node_sets["bottom"]
         fixed = np.concatenate([2 * bottom, 2 * bottom + 1])
         values = np.arange(fixed.size, dtype=float)
-        u, _ = solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4, fixed,
+        u, _, _ = solve_displacements(k, np.zeros(k.shape[0]), mesh_5x4, fixed,
                                    values)
         assert np.abs(u[fixed] - values).max() == 0.0
 
@@ -252,7 +252,7 @@ class TestSolveDisplacements:
         rng = np.random.default_rng(5)
         values = rng.normal(size=fixed.size)
         f = 1e-9 * rng.normal(size=k.shape[0])
-        u, _ = solve_displacements(k, f, mesh_5x4, fixed, values)
+        u, _, _ = solve_displacements(k, f, mesh_5x4, fixed, values)
         free = np.setdiff1d(np.arange(k.shape[0]), fixed)
         rhs = f[free] - k[free][:, fixed] @ values
         dense = np.linalg.solve(k[free][:, free].toarray(), rhs)
@@ -283,7 +283,7 @@ class TestSolveDisplacements:
         k, fixed = self._system(mesh_5x4, rho=(0.4, 0.6))
         rng = np.random.default_rng(3)
         f = rng.normal(size=k.shape[0])
-        u, _ = solve_displacements(k, f, mesh_5x4, fixed)
+        u, _, _ = solve_displacements(k, f, mesh_5x4, fixed)
         free = np.setdiff1d(np.arange(k.shape[0]), fixed)
         r = np.linalg.norm(k[free][:, free] @ u[free] - f[free])
         assert r / np.linalg.norm(f[free]) < 1e-9
@@ -299,7 +299,7 @@ class TestPatchTest:
         u_exact = (mesh.nodes @ grad.T).ravel()
         bnodes = domain_boundary_nodes(mesh)
         fixed = np.sort(np.concatenate([2 * bnodes, 2 * bnodes + 1]))
-        u, _ = solve_displacements(k, np.zeros(k.shape[0]), mesh, fixed,
+        u, _, _ = solve_displacements(k, np.zeros(k.shape[0]), mesh, fixed,
                                    u_exact[fixed])
         interior = np.setdiff1d(np.arange(k.shape[0]), fixed)
         rel = np.abs(u[interior] - u_exact[interior]).max()
@@ -373,7 +373,7 @@ class TestPhysicsOverShippedShapes:
         scale = abs(k).max() * np.abs(u_exact).max()
         assert np.abs((k @ u_exact)[interior]).max(initial=0.0) \
             <= 1e-13 * scale
-        u, _ = solve_displacements(k, np.zeros(k.shape[0]), mesh, fixed,
+        u, _, _ = solve_displacements(k, np.zeros(k.shape[0]), mesh, fixed,
                                    u_exact[fixed])
         # worst over these 40 draws: 1.9e-15 of max |u|
         assert np.abs(u - u_exact).max() <= 1e-12 * np.abs(u_exact).max()
